@@ -40,6 +40,10 @@
 #              report 100% cache hits and zero retrains; `exp status`
 #              must honor its exit-code contract (0 complete /
 #              1 partial / 2 nothing run).
+#  11. benchmark — each repo-benchmark workload runs a 3 s window and
+#              must exit 0 reporting "correct": true, so its own output
+#              checks (finite falling losses, evaluator bit-identity,
+#              served-vs-live rankings) run in CI.
 #
 # Usage: bash scripts/ci.sh            (from the repo root)
 set -euo pipefail
@@ -307,6 +311,18 @@ rc=0
 python -m repro exp status $exp_flags --workdir "$smoke_dir/exp-empty" \
     > /dev/null || rc=$?
 [ "$rc" -eq 2 ]
+echo "ok"
+
+echo "== repo benchmark output checks =="
+for workload in train-eval serve-uniform online-skewed; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 \
+        --seconds 3 --trace 0 > "$smoke_dir/bench-$workload.json"
+    python - "$smoke_dir/bench-$workload.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["correct"] is True, doc
+EOF
+done
 echo "ok"
 
 echo "== all gates passed =="

@@ -8,7 +8,10 @@ train-step bottleneck (BENCH_perf.json), so this module introduces a
 ``reference``
     The engine as it has always been: float64 compute, generic composed
     ops, fresh allocations.  It is the bit-identity oracle — nothing in
-    this module may change a single ULP of its results.
+    this module may change a single ULP of its results.  It shares the
+    fast adjoints below (:func:`scatter_add_rows`, the cached sparse
+    matmul plan) because those are byte-identical to the ``np.add.at``
+    and per-call transpose they replace.
 
 ``fast``
     Opt-in via ``REPRO_BACKEND=fast`` or ``--backend fast``:
@@ -21,8 +24,8 @@ train-step bottleneck (BENCH_perf.json), so this module introduces a
       kernel registry below;
     * a per-step :class:`Arena` that recycles activation/gradient
       buffers across steps instead of reallocating;
-    * an optionally threaded ``scipy.sparse`` matmul
-      (:mod:`repro.tensor.sparse`) for GCN aggregation.
+    * row-slab threading for the ``scipy.sparse`` matmul
+      (:mod:`repro.tensor.sparse`) in GCN aggregation.
 
 A backend is process-global (like grad mode): models, manifolds and
 optimizers read it at call time, so a model *trained* under one backend
@@ -310,7 +313,7 @@ def registered_kernels() -> Dict[str, Tuple[str, ...]]:
 
 
 # ----------------------------------------------------------------------
-# Shared primitives with per-backend implementations
+# Shared primitives
 # ----------------------------------------------------------------------
 # (batch, dtype.char) -> (ones, indptr) for the one-hot scatter matrix.
 _SCATTER_CACHE: Dict[Tuple[int, str], Tuple[np.ndarray, np.ndarray]] = {}
@@ -325,35 +328,46 @@ def scatter_add_rows(grad: np.ndarray, index: np.ndarray,
                      shape: Tuple[int, ...]) -> np.ndarray:
     """Adjoint of a row gather: scatter-add ``grad`` rows into ``shape``.
 
-    The reference path is ``np.zeros`` + ``np.add.at`` — bit-identical
-    to the original engine but slow (``add.at`` is unbuffered).  The
-    fast path expresses the scatter as ``M @ grad`` with ``M`` the
-    one-hot (n, batch) selection matrix, run as a single C CSC-matmul
-    loop ~10x faster; since ``M``'s columns each hold one entry and
-    arrive in order, its CSC arrays are free to build (indptr = arange,
-    indices = the gather index) and ``csc_matvecs`` is invoked directly
-    to skip matrix-construction validation, which profiles at ~half the
-    scatter cost.  Per-cell summation order differs from ``add.at``,
-    which is within the fast backend's tolerance policy (float32
-    compute already reorders sums) but would break reference
-    bit-identity — hence the gate.
+    Byte-identical to ``np.zeros(shape)`` + ``np.add.at(out, index,
+    grad)`` on every backend, but ~10x faster (``add.at`` is
+    unbuffered).  The scatter is ``M @ grad`` with ``M`` the one-hot
+    (n, batch) selection matrix.  Each of ``M``'s columns holds one
+    entry and they arrive in order, so its CSC arrays are free to build
+    (indptr = arange, indices = the gather index), and ``csc_matvecs``
+    is called directly to skip matrix-construction validation.  That
+    kernel computes ``out[index[j]] += 1.0 * grad[j]`` for ascending
+    ``j`` starting from zero; ``1.0 * g`` is exact, so every cell sees
+    the same additions in the same order as under ``add.at``.
+
+    ``index`` holds integer row ids.  Negative ids wrap as in
+    ``np.take``; ids outside ``[-n, n)`` raise ``IndexError``, because
+    ``csc_matvecs`` does no bounds checks of its own.  Anything but a
+    2-D float32/float64 ``grad`` with one row per id falls back to
+    ``add.at``.
     """
-    if (get_backend().fused and _sptools is not None
-            and grad.ndim == 2 and len(shape) == 2):
-        batch = len(index)
-        key = (batch, grad.dtype.char)
-        cached = _SCATTER_CACHE.get(key)
-        if cached is None:
-            cached = _SCATTER_CACHE[key] = (
-                np.ones(batch, dtype=grad.dtype),
-                np.arange(batch + 1, dtype=np.int64))
-        ones, indptr = cached
-        indices = np.ascontiguousarray(index, dtype=np.int64)
-        grad = np.ascontiguousarray(grad)
-        out = np.zeros(shape, dtype=grad.dtype)
-        _sptools.csc_matvecs(shape[0], batch, shape[1], indptr, indices,
-                             ones, grad, out)
-        return out
+    n_rows = shape[0]
+    index = np.asarray(index)
+    if index.size:
+        lo = index.min()
+        if not -n_rows <= lo <= index.max() < n_rows:
+            raise IndexError(f"row ids out of bounds for axis 0 with size "
+                             f"{n_rows}")
+        if lo < 0:
+            index = np.where(index < 0, index + n_rows, index)
     out = np.zeros(shape, dtype=grad.dtype)
-    np.add.at(out, index, grad)
+    if (_sptools is None or grad.dtype.char not in "fd" or index.ndim != 1
+            or len(shape) != 2 or grad.shape != (len(index), shape[1])):
+        np.add.at(out, index, grad)
+        return out
+    batch = len(index)
+    key = (batch, grad.dtype.char)
+    cached = _SCATTER_CACHE.get(key)
+    if cached is None:
+        cached = _SCATTER_CACHE[key] = (
+            np.ones(batch, dtype=grad.dtype),
+            np.arange(batch + 1, dtype=np.int64))
+    ones, indptr = cached
+    _sptools.csc_matvecs(shape[0], batch, shape[1], indptr,
+                         np.ascontiguousarray(index, dtype=np.int64), ones,
+                         np.ascontiguousarray(grad), out)
     return out

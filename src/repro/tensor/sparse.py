@@ -6,14 +6,17 @@ requires grad.  The adjoint is ``A.T @ dY``.  ``A`` itself is never a
 learnable parameter in any of the reproduced models, so no gradient flows
 into it.
 
-Under the ``reference`` backend this is exactly the original op: CSR
-conversion and a fresh transpose per call, float64 throughout.  The
-``fast`` backend adds a per-matrix *plan* cached on the adjacency object:
-the CSR cast to the compute dtype, the transposed CSR (built once, not
-per forward), and — when the backend has a thread budget and the product
-is large enough to amortize dispatch — disjoint row slabs that a shared
-thread pool multiplies into one preallocated output.  On a single-core
-machine the thread budget resolves to 1 and the slab path stays dormant.
+Both backends multiply through a per-matrix *plan* cached on the
+adjacency object: the CSR cast to the compute dtype and its transpose,
+built once rather than per forward (the adjacency is treated as
+immutable; build a new matrix to change it).  Under the ``reference``
+backend the plan is float64 with one thread, so forward and backward
+are exactly ``csr @ x`` and ``csr.T.tocsr() @ g`` — the original op.
+When the ``fast`` backend has a thread budget and the product is large
+enough to amortize dispatch, the plan also holds disjoint row slabs that
+a shared thread pool multiplies into one preallocated output.  On a
+single-core machine the thread budget resolves to 1 and the slab path
+stays dormant.
 """
 
 from __future__ import annotations
@@ -98,12 +101,12 @@ class _SpmmPlan:
         return self._apply(self.csr_t, self.blocks_t, grad)
 
 
-def _plan_for(matrix: sp.spmatrix, csr: sp.csr_matrix,
+def _plan_for(matrix: sp.spmatrix,
               backend: "_backend.Backend") -> _SpmmPlan:
     plan = getattr(matrix, _CACHE_ATTR, None)
     if (plan is None or plan.dtype != backend.dtype
             or plan.threads != backend.threads):
-        plan = _SpmmPlan(csr, backend.dtype, backend.threads)
+        plan = _SpmmPlan(matrix.tocsr(), backend.dtype, backend.threads)
         try:
             setattr(matrix, _CACHE_ATTR, plan)
         except AttributeError:
@@ -117,25 +120,16 @@ def sparse_matmul(matrix: sp.spmatrix, x: Tensor) -> Tensor:
     Parameters
     ----------
     matrix:
-        A ``scipy.sparse`` matrix of shape ``(m, n)``; converted to CSR once.
+        A ``scipy.sparse`` matrix of shape ``(m, n)``; converted to CSR
+        once and cached with its transpose (see the module docstring).
     x:
         Dense :class:`Tensor` of shape ``(n, d)``.
     """
     if not sp.issparse(matrix):
         raise TypeError("sparse_matmul expects a scipy.sparse matrix")
-    csr = matrix.tocsr()
-    if csr.shape[1] != x.data.shape[0]:
+    if matrix.shape[1] != x.data.shape[0]:
         raise ValueError(
-            f"shape mismatch: {csr.shape} @ {x.data.shape}")
-    backend = _backend.get_backend()
-    if backend.fused:
-        plan = _plan_for(matrix, csr, backend)
-        data = plan.forward(x.data)
-        return Tensor._make(data, (x,), lambda g: (plan.backward(g),))
-    data = np.asarray(csr @ x.data, dtype=np.float64)
-    csr_t = csr.T.tocsr()
-
-    def backward(g):
-        return (np.asarray(csr_t @ g, dtype=np.float64),)
-
-    return Tensor._make(data, (x,), backward)
+            f"shape mismatch: {matrix.shape} @ {x.data.shape}")
+    plan = _plan_for(matrix, _backend.get_backend())
+    data = plan.forward(x.data)
+    return Tensor._make(data, (x,), lambda g: (plan.backward(g),))

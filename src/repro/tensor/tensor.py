@@ -68,6 +68,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is numpy *basic* indexing (a view, no repeats).
+
+    Slices, integers, ``None`` and ``Ellipsis``, alone or in a tuple.
+    ``bool`` is excluded: numpy treats it as a boolean mask.
+    """
+    items = index if isinstance(index, tuple) else (index,)
+    return all(item is None or item is Ellipsis
+               or isinstance(item, (slice, int, np.integer))
+               and not isinstance(item, bool)
+               for item in items)
+
+
 def _as_array(value: ArrayLike) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
@@ -399,7 +412,13 @@ class Tensor:
 
         def backward(g):
             out = np.zeros(shape, dtype=g.dtype)
-            np.add.at(out, index, g)
+            if _is_basic_index(index):
+                # A basic index selects each cell at most once, so the
+                # view add is add.at's ``0.0 + g`` without the unbuffered
+                # loop.
+                out[index] += g
+            else:
+                np.add.at(out, index, g)
             return (out,)
 
         return Tensor._make(data, (self,), backward)

@@ -369,14 +369,18 @@ class TestArena:
 
 class TestScatterAdd:
     def test_fast_scatter_matches_reference(self):
+        # Both backends share one kernel; the reference it must match is
+        # the zeros + np.add.at oracle, byte for byte.
         rng = np.random.default_rng(0)
         idx = rng.integers(0, 50, 300)
-        grad = rng.standard_normal((300, 9)).astype(np.float32)
-        ref = be.scatter_add_rows(grad, idx, (50, 9))
-        with use_backend("fast"):
-            fast = be.scatter_add_rows(grad, idx, (50, 9))
-        assert fast.dtype == grad.dtype
-        np.testing.assert_allclose(fast, ref, atol=1e-4)
+        for dtype in (np.float32, np.float64):
+            grad = rng.standard_normal((300, 9)).astype(dtype)
+            oracle = np.zeros((50, 9), dtype=dtype)
+            np.add.at(oracle, idx, grad)
+            with use_backend("fast"):
+                fast = be.scatter_add_rows(grad, idx, (50, 9))
+            assert fast.dtype == grad.dtype
+            assert fast.tobytes() == oracle.tobytes()
 
     def test_gather_backward_uses_it(self):
         rng = np.random.default_rng(1)
@@ -421,11 +425,13 @@ class TestThreadedSpmm:
                         format="csr")
         x = Tensor(np.random.default_rng(2).standard_normal((64, 8)))
         from repro.tensor import sparse_matmul
-        with use_backend("fast"):
-            sparse_matmul(mat, x)
-            plan = getattr(mat, "_repro_spmm_plan")
-            sparse_matmul(mat, x)
-            assert getattr(mat, "_repro_spmm_plan") is plan
+        for backend in ("fast", "reference"):
+            with use_backend(backend):
+                sparse_matmul(mat, x)
+                plan = getattr(mat, "_repro_spmm_plan")
+                sparse_matmul(mat, x)
+                assert getattr(mat, "_repro_spmm_plan") is plan
+                assert plan.dtype == get_backend().dtype
 
 
 # ----------------------------------------------------------------------
