@@ -10,7 +10,7 @@ Shape expectations:
 """
 
 from conftest import EPOCHS_STUDY
-from repro.experiments import run_lambda_sweep
+from repro.experiments import ExperimentSpec, run_experiment
 
 DATASETS = ("ciao", "cd", "clothing", "book")
 LAMBDAS = (0.0, 0.01, 0.1, 1.0, 2.0, 5.0, 10.0)
@@ -33,11 +33,12 @@ def _format(results) -> str:
 
 
 def test_fig6_lambda_sweep(benchmark, artifact):
+    spec = ExperimentSpec(kind="lambda", datasets=DATASETS,
+                          lambdas=LAMBDAS, baseline="HRCF", ks=(10,),
+                          epochs=EPOCHS_STUDY)
     results = benchmark.pedantic(
-        run_lambda_sweep,
-        kwargs=dict(dataset_names=DATASETS, lambdas=LAMBDAS,
-                    baseline="HRCF", epochs=EPOCHS_STUDY),
-        rounds=1, iterations=1)
+        lambda: run_experiment(spec).lambda_sweep(), rounds=1,
+        iterations=1)
     artifact("fig6_lambda", _format(results))
 
     for ds in DATASETS:

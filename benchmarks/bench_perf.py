@@ -290,7 +290,7 @@ def _emit_bench_run(tracer, results: Dict[str, object]) -> None:
                           ("n_users", "n_items", "n_interactions")},
         "final_metrics": {},
         "n_events": sink.n_events,
-        "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
+        "metrics": {"counters": {}, "gauges": {}, "hdr": {}},
     })
     print(f"[bench telemetry written to {run_dir}]")
 

@@ -6,18 +6,17 @@ fraction of taxonomy edges and compare LogiRec vs LogiRec++ degradation.
 """
 
 from conftest import EPOCHS_STUDY
-from repro.experiments.robustness import (format_robustness_table,
-                                          run_noise_robustness)
+from repro.experiments import (ExperimentSpec, format_robustness_table,
+                               run_experiment)
 
 FRACTIONS = (0.0, 0.25, 0.5)
 
 
 def test_noise_robustness(benchmark, artifact):
+    spec = ExperimentSpec(kind="robustness", datasets=("cd",),
+                          fractions=FRACTIONS, epochs=EPOCHS_STUDY)
     results = benchmark.pedantic(
-        run_noise_robustness,
-        kwargs=dict(dataset_name="cd", fractions=FRACTIONS,
-                    epochs=EPOCHS_STUDY),
-        rounds=1, iterations=1)
+        lambda: run_experiment(spec).robustness(), rounds=1, iterations=1)
     artifact("robustness", format_robustness_table(results))
 
     # Both models should still clearly work under 50% corruption.

@@ -21,7 +21,8 @@ dataset-average NDCG.
 import numpy as np
 
 from conftest import EPOCHS_FULL
-from repro.experiments import format_comparison_table, run_comparison
+from repro.experiments import (ExperimentSpec, format_comparison_table,
+                               run_experiment)
 from repro.experiments.runner import ALL_MODEL_NAMES
 
 DATASETS = ("ciao", "cd", "clothing", "book")
@@ -33,11 +34,11 @@ def _mean_over_datasets(results, model, metric="recall@10"):
 
 
 def test_table2_overall_comparison(benchmark, artifact):
+    spec = ExperimentSpec(kind="comparison", models=ALL_MODEL_NAMES,
+                          datasets=DATASETS, seeds=(0,),
+                          epochs=EPOCHS_FULL)
     results = benchmark.pedantic(
-        run_comparison,
-        kwargs=dict(model_names=ALL_MODEL_NAMES, dataset_names=DATASETS,
-                    seeds=(0,), epochs_override=EPOCHS_FULL),
-        rounds=1, iterations=1)
+        lambda: run_experiment(spec).comparison(), rounds=1, iterations=1)
     artifact("table2_overall", format_comparison_table(results))
 
     # Shape assertions (averaged over datasets to absorb small-data noise).

@@ -18,7 +18,7 @@ real datasets, so the membership loss carries more of the performance.
 import numpy as np
 
 from conftest import EPOCHS_STUDY
-from repro.experiments import ABLATIONS, run_ablation
+from repro.experiments import ABLATIONS, ExperimentSpec, run_experiment
 from repro.experiments.ablation import format_ablation_table
 
 DATASETS = ("ciao", "cd", "clothing", "book")
@@ -31,11 +31,10 @@ def _mean(results, variant):
 
 
 def test_table3_ablation(benchmark, artifact):
+    spec = ExperimentSpec(kind="ablation", datasets=DATASETS,
+                          variants=ABLATIONS, epochs=EPOCHS_STUDY)
     results = benchmark.pedantic(
-        run_ablation,
-        kwargs=dict(dataset_names=DATASETS, variants=ABLATIONS,
-                    epochs=EPOCHS_STUDY),
-        rounds=1, iterations=1)
+        lambda: run_experiment(spec).ablation(), rounds=1, iterations=1)
     artifact("table3_ablation", format_ablation_table(results))
 
     full = _mean(results, "LogiRec++")

@@ -13,7 +13,7 @@ Shape expectations from the paper:
 """
 
 from conftest import EPOCHS_STUDY
-from repro.experiments import run_hyperparameter_study
+from repro.experiments import ExperimentSpec, run_experiment
 
 DATASETS = ("cd", "clothing")
 METRIC = "recall@10"
@@ -37,10 +37,10 @@ def _format(results) -> str:
 
 
 def test_table4_hyperparameters(benchmark, artifact):
+    spec = ExperimentSpec(kind="sweep", datasets=DATASETS, ks=(10,),
+                          epochs=EPOCHS_STUDY)
     results = benchmark.pedantic(
-        run_hyperparameter_study,
-        kwargs=dict(dataset_names=DATASETS, epochs=EPOCHS_STUDY),
-        rounds=1, iterations=1)
+        lambda: run_experiment(spec).sweep(), rounds=1, iterations=1)
     artifact("table4_hyperparams", _format(results))
 
     for ds in DATASETS:

@@ -16,7 +16,7 @@ from conftest import EPOCHS_STUDY
 from repro.core import LogiRecConfig, LogiRecPP
 from repro.data import load_dataset, temporal_split
 from repro.eval import Evaluator
-from repro.experiments import case_studies
+from repro.experiments import case_rows
 from repro.experiments.cases import format_case_table
 from repro.experiments.runner import LAMBDA_BY_DATASET
 
@@ -29,8 +29,7 @@ def _run(dataset_name: str):
     model = LogiRecPP(dataset.n_users, dataset.n_items, dataset.n_tags,
                       config)
     model.fit(dataset, split, evaluator=Evaluator(dataset, split))
-    rows = case_studies(model, dataset, split)
-    return rows
+    return case_rows(model, dataset, split)
 
 
 def test_table5_case_studies(benchmark, artifact):

@@ -11,7 +11,8 @@ Run:
 import sys
 import time
 
-from repro.experiments import (format_comparison_table, run_comparison)
+from repro.experiments import (ExperimentSpec, format_comparison_table,
+                               run_experiment)
 
 DEFAULT_MODELS = ["BPRMF", "CML", "LightGCN", "AGCN", "HGCF", "HRCF",
                   "LogiRec", "LogiRec++"]
@@ -22,12 +23,10 @@ def main() -> None:
         "--") else "ciao"
     fast = "--fast" in sys.argv
     start = time.time()
-    results = run_comparison(
-        model_names=DEFAULT_MODELS,
-        dataset_names=[dataset],
-        seeds=(0,),
-        epochs_override=40 if fast else None,
-    )
+    spec = ExperimentSpec(kind="comparison", models=DEFAULT_MODELS,
+                          datasets=(dataset,), seeds=(0,),
+                          epochs=40 if fast else None)
+    results = run_experiment(spec).comparison()
     print(format_comparison_table(results))
     print(f"done in {time.time() - start:.0f}s"
           + (" (fast mode: 40 epochs/model)" if fast else ""))

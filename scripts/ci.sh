@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # CI gate for the repro package:
 #   1. lint  — no bare print() in library code (cli.py is the
-#              presentation layer and is allowlisted);
+#              presentation layer and is allowlisted) and no
+#              DeprecationWarning shim in src/repro; benchmarks/ must
+#              collect and every examples/*.py must import, because
+#              the tier-1 tests import neither and a deleted library
+#              name they still use would otherwise pass;
 #   2. tests — the tier-1 pytest suite;
 #   3. smoke — a tiny --telemetry training run must leave a readable
 #              manifest + event log that `repro obs summarize` renders;
@@ -58,6 +62,32 @@ if [ -n "$violations" ]; then
     echo "$violations"
     exit 1
 fi
+echo "ok"
+
+echo "== lint: no DeprecationWarning shims in library code =="
+violations=$(grep -rn --include='*.py' 'DeprecationWarning' src/repro \
+    || true)
+if [ -n "$violations" ]; then
+    echo "deprecation shim in library code (migrate its callers, then" \
+         "delete it):"
+    echo "$violations"
+    exit 1
+fi
+echo "ok"
+
+echo "== benchmarks collect, examples import =="
+python -m pytest --collect-only -q benchmarks/
+python - <<'EOF'
+import importlib.util
+import pathlib
+
+# Every example keeps its work under `if __name__ == "__main__":`, so
+# importing one only resolves its imports and module-level names.
+for path in sorted(pathlib.Path("examples").glob("*.py")):
+    spec = importlib.util.spec_from_file_location(
+        f"example_{path.stem}", path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+EOF
 echo "ok"
 
 echo "== tier-1 tests =="

@@ -227,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "fork/spawn)")
     exp_run.add_argument("--ephemeral", action="store_true",
                          help="in-memory store: nothing cached, nothing "
-                              "resumable (what the deprecated "
-                              "entrypoints use)")
+                              "resumable")
     exp_run.add_argument("--no-tables", action="store_true",
                          help="print only the cache summary, not the "
                               "rendered tables")

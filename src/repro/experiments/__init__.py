@@ -1,22 +1,22 @@
-"""Experiment harness: model zoo, runners, and table/figure generators.
+"""Experiment harness: model zoo, experiment DAG, and table renderers.
 
-Each module regenerates one artifact of the paper's evaluation:
+Every training table of the paper comes from one path, the resumable
+DAG in :mod:`repro.experiments.dag`: declare an :class:`ExperimentSpec`,
+call :func:`run_experiment`, and read the :class:`ExperimentResult`
+accessor for the table (``comparison()``, ``ablation()``, ``sweep()``,
+``lambda_sweep()``, ``robustness()``, ``cases()``).  The modules here
+hold what those sections build and render:
 
 * :mod:`repro.experiments.runner` — the model zoo (15 models with tuned
-  configs) and the overall comparison (Table II);
+  configs) and the Table II renderer;
 * :mod:`repro.experiments.ablation` — the LogiRec++ variants (Table III);
-* :mod:`repro.experiments.sweeps` — hyperparameter studies (Table IV,
+* :mod:`repro.experiments.sweeps` — the hyperparameter grid (Table IV,
   Fig. 6);
 * :mod:`repro.experiments.figures` — user-behaviour statistics (Fig. 5)
   and embedding visualizations / separation scores (Fig. 7-8);
 * :mod:`repro.experiments.cases` — tag-based user profiles with CON/GR/
-  alpha (Table V).
-
-Since PR 10 every runner is a thin wrapper over the resumable DAG in
-:mod:`repro.experiments.dag`: declare an :class:`ExperimentSpec`, call
-:func:`run_experiment`, and get an :class:`ExperimentResult` whose
-accessors reproduce each table.  The legacy ``run_*`` signatures remain
-as :class:`DeprecationWarning` shims forwarding through the same path.
+  alpha (Table V);
+* :mod:`repro.experiments.robustness` — taxonomy corruption.
 """
 
 from repro.experiments.dag import (
@@ -36,27 +36,20 @@ from repro.experiments.dag import (
 from repro.experiments.runner import (
     MODEL_ZOO,
     build_model,
-    run_model,
-    run_comparison,
     format_comparison_table,
 )
-from repro.experiments.ablation import ABLATIONS, run_ablation
-from repro.experiments.sweeps import (
-    run_hyperparameter_study,
-    run_lambda_sweep,
-)
+from repro.experiments.ablation import ABLATIONS
 from repro.experiments.figures import (
     user_tag_type_distribution,
     tag_types_vs_origin_distance,
     embedding_projection,
     tag_separation_scores,
 )
-from repro.experiments.cases import case_rows, case_studies
+from repro.experiments.cases import case_rows
 from repro.experiments.search import format_search_trace, grid_search
 from repro.experiments.robustness import (
     corrupt_taxonomy,
     format_robustness_table,
-    run_noise_robustness,
 )
 
 __all__ = [
@@ -75,20 +68,13 @@ __all__ = [
     "case_rows",
     "MODEL_ZOO",
     "build_model",
-    "run_model",
-    "run_comparison",
     "format_comparison_table",
     "ABLATIONS",
-    "run_ablation",
-    "run_hyperparameter_study",
-    "run_lambda_sweep",
     "user_tag_type_distribution",
     "tag_types_vs_origin_distance",
     "embedding_projection",
     "tag_separation_scores",
-    "case_studies",
     "corrupt_taxonomy",
-    "run_noise_robustness",
     "format_robustness_table",
     "grid_search",
     "format_search_trace",

@@ -10,12 +10,14 @@ ablations DESIGN.md calls out (CON-only / GR-only weighting):
 * ``w/o LRM``    — no relation mining, i.e. plain LogiRec
 * ``w/o Hyper``  — everything projected to Euclidean space
 * ``CON-only`` / ``GR-only`` — one weighting mechanism at a time
+
+Run them as an ``ExperimentSpec(kind="ablation")``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 from repro.core import LogiRec, LogiRecConfig, LogiRecPP
 from repro.data import InteractionDataset
@@ -51,32 +53,6 @@ def _variant_model(variant: str, dataset: InteractionDataset,
 
 ABLATIONS = ["LogiRec++", "w/o L_Mem", "w/o L_Hie", "w/o L_Ex",
              "w/o HGCN", "w/o LRM", "w/o Hyper", "CON-only", "GR-only"]
-
-
-def run_ablation(dataset_names: Sequence[str] = ("ciao", "cd"),
-                 variants: Optional[Sequence[str]] = None,
-                 seed: int = 0, epochs: Optional[int] = None,
-                 ks: Sequence[int] = (10, 20)) -> Dict[str, dict]:
-    """Table III: evaluate every variant on every dataset.
-
-    .. deprecated:: PR10
-        Build an :class:`~repro.experiments.dag.ExperimentSpec` with
-        ``kind="ablation"`` and call
-        :func:`~repro.experiments.dag.run_experiment` instead.
-
-    Returns ``{dataset: {variant: {metric: value}}}`` (percent).
-    """
-    import warnings
-    warnings.warn(
-        "run_ablation(...) is deprecated; use "
-        "ExperimentSpec(kind='ablation', ...) with run_experiment()",
-        DeprecationWarning, stacklevel=2)
-    from repro.experiments.dag import ExperimentSpec, run_experiment
-    spec = ExperimentSpec(
-        kind="ablation", datasets=tuple(dataset_names),
-        variants=tuple(variants) if variants else (),
-        seeds=(int(seed),), epochs=epochs, ks=tuple(ks))
-    return run_experiment(spec).ablation()
 
 
 def format_ablation_table(results: Dict[str, dict]) -> str:

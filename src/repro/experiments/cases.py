@@ -17,26 +17,6 @@ from repro.data import InteractionDataset
 from repro.data.dataset import Split
 
 
-def case_studies(model: LogiRecPP, dataset: InteractionDataset,
-                 split: Split, user_ids: Optional[Sequence[int]] = None,
-                 top_k: int = 6, max_tags: int = 5) -> List[Dict]:
-    """Build Table V rows.
-
-    .. deprecated:: PR10
-        Use :func:`case_rows` directly, or run a full cases section via
-        :class:`~repro.experiments.dag.ExperimentSpec` with
-        ``kind="cases"`` and :func:`~repro.experiments.dag.run_experiment`
-        (which trains the paper's LogiRec++ config and caches the rows).
-    """
-    import warnings
-    warnings.warn(
-        "case_studies(...) is deprecated; use case_rows(...) or an "
-        "ExperimentSpec(kind='cases', ...) with run_experiment()",
-        DeprecationWarning, stacklevel=2)
-    return case_rows(model, dataset, split, user_ids=user_ids,
-                     top_k=top_k, max_tags=max_tags)
-
-
 def case_rows(model: LogiRecPP, dataset: InteractionDataset,
               split: Split, user_ids: Optional[Sequence[int]] = None,
               top_k: int = 6, max_tags: int = 5) -> List[Dict]:

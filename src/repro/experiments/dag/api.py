@@ -1,8 +1,8 @@
 """Public orchestration API: spec in, :class:`ExperimentResult` out.
 
 ``run_experiment`` is the single execution path every entrypoint —
-``repro exp run``, the deprecated ``run_comparison``/``run_ablation``/…
-shims, and ``scripts/reproduce_all.sh`` — goes through:
+``repro exp run``, the ``compare``/``ablation``/``cases`` CLI commands,
+the paper benches, and ``scripts/reproduce_all.sh`` — goes through:
 
     spec → compile_spec → run_graph → aggregate → ExperimentResult
 
@@ -10,8 +10,8 @@ With a ``workdir`` the run is persistent and resumable: node results are
 cached under config-hash keys, a rerun of the same spec skips every
 completed node, and a killed run picks up from the training supervisor's
 auto-checkpoints.  Without one the run is ephemeral (in-memory store,
-inline execution) — the mode the deprecation shims use, matching the
-legacy entrypoints' statelessness.
+inline execution) — the mode ``repro exp run --ephemeral`` and the
+paper benches use when nothing should be written to disk.
 """
 
 from __future__ import annotations

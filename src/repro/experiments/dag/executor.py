@@ -34,7 +34,7 @@ class ExperimentError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Dataset + model builders (mirror the legacy entrypoints exactly)
+# Dataset + model builders
 # ----------------------------------------------------------------------
 def build_dataset(payload: Dict[str, object]):
     """Deterministically realize the dataset a payload describes."""
@@ -150,7 +150,7 @@ def _execute_train(node: Node, store: ResultStore, fault_plan) -> dict:
     node_dir = store.node_dir(node.key)
     resumed = False
     if node_dir is None:
-        # Ephemeral (shim) mode: plain fit, live model handed to eval.
+        # Ephemeral mode: plain fit, live model handed to eval.
         # A no-fault supervisor leaves numerics bit-identical (PR5), so
         # both modes produce the same results.
         model = build_train_model(payload, dataset)

@@ -3,10 +3,9 @@
 Every experiment section reduces its evaluation nodes into one
 JSON-safe aggregate record (this is the ``aggregate`` node's executor),
 and :class:`ExperimentResult` wraps those records behind typed accessors
-that reproduce the exact legacy shapes — ``run_comparison``'s
-``{dataset: {model: {metric: (mean, std)}}}``, ``run_ablation``'s
-``{dataset: {variant: {metric: pct}}}``, and so on — so the deprecation
-shims forward without any caller-visible change.
+that return the nested-dict shape each table renderer consumes —
+``comparison()``'s ``{dataset: {model: {metric: (mean, std)}}}``,
+``ablation()``'s ``{dataset: {variant: {metric: pct}}}``, and so on.
 
 Determinism note: aggregates are pure functions of their entry results,
 and node results round-trip through JSON with exact float ``repr``
@@ -40,8 +39,7 @@ def _agg_comparison(entries: List[dict], meta: dict,
                  .setdefault(entry["model"], {}))
         for metric, value in record["means"].items():
             store.setdefault(metric, []).append(value)
-        # Legacy run_comparison keeps the last seed's per-user vectors
-        # for significance testing.
+        # The last seed's per-user vectors feed the significance test.
         if entry["seed"] == seeds[-1]:
             per_user.setdefault(entry["dataset"], {})[entry["model"]] = \
                 record["per_user"]
@@ -147,12 +145,12 @@ def aggregate_section(section: str, entries: List[dict], meta: dict,
 # ----------------------------------------------------------------------
 @dataclass
 class ExperimentResult:
-    """One schema out: what every experiment entrypoint now returns.
+    """One schema out: what every experiment entrypoint returns.
 
     ``sections`` maps section kind → aggregate record (a single-kind
     spec has one section; a grid has all six).  The ``comparison()`` /
-    ``ablation()`` / … accessors rebuild the exact legacy shapes the
-    deprecated entrypoints used to return.
+    ``ablation()`` / … accessors rebuild each section as the nested
+    dict its table renderer consumes.
     """
 
     spec: ExperimentSpec
@@ -170,7 +168,7 @@ class ExperimentResult:
                            f"available: {sorted(self.sections)}")
         return self.sections[kind]
 
-    # -- legacy-shape accessors ---------------------------------------
+    # -- per-table accessors -----------------------------------------
     def comparison(self) -> dict:
         """``{dataset: {model: {metric: (mean, std)}, "_per_user": …}}``."""
         agg = self.section("comparison")

@@ -36,17 +36,9 @@ SPEC_KINDS = ("comparison", "ablation", "sweep", "lambda", "robustness",
 ALL_DATASETS = ("ciao", "cd", "clothing", "book")
 
 
-class SpecError(ValueError, KeyError):
+class SpecError(ValueError):
     """An :class:`ExperimentSpec` is malformed: unknown kind, model,
-    dataset, variant, or hyperparameter.
-
-    Subclasses both :class:`ValueError` and :class:`KeyError` so the
-    deprecated entrypoint shims keep the legacy lookup-error contract
-    (e.g. ``run_ablation`` raised ``KeyError`` on unknown variants).
-    """
-
-    def __str__(self) -> str:  # KeyError.__str__ would repr-quote it
-        return str(self.args[0]) if self.args else ""
+    dataset, variant, or hyperparameter."""
 
 
 def canonical_json(value) -> str:

@@ -13,9 +13,10 @@ checkpoints but no marker, so the next run re-executes that node — and
 the training executor resumes from the auto-checkpoint's ``fit_state``
 instead of starting over.
 
-The in-memory store backs the deprecation shims (the legacy entrypoints
-were pure functions that wrote nothing); it additionally carries live
-model objects between train and eval nodes so nothing is serialized.
+The in-memory store (no workdir) backs ``repro exp run --ephemeral``
+and the paper benches, which persist nothing; it additionally carries
+live model objects between train and eval nodes so nothing is
+serialized.
 """
 
 from __future__ import annotations

@@ -9,12 +9,14 @@ LogiRec++ (behaviour-driven mining) degrade.
 
 The paper's implied shape: LogiRec++'s advantage over LogiRec *grows*
 with noise, because the weighting mechanism lets reliable users' behaviour
-override the corrupted relations.
+override the corrupted relations.  Run it as an
+``ExperimentSpec(kind="robustness")``; each fraction's corruption draws
+from an independent ``(seed, fraction)``-keyed RNG stream.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -61,36 +63,6 @@ def _with_taxonomy(dataset: InteractionDataset,
         if hasattr(dataset, attr):
             setattr(clone, attr, getattr(dataset, attr))
     return clone
-
-
-def run_noise_robustness(dataset_name: str = "cd",
-                         fractions: Sequence[float] = (0.0, 0.2, 0.5),
-                         epochs: Optional[int] = None,
-                         seed: int = 0) -> Dict[float, Dict[str, dict]]:
-    """Recall/NDCG of LogiRec vs LogiRec++ under taxonomy corruption.
-
-    .. deprecated:: PR10
-        Build an :class:`~repro.experiments.dag.ExperimentSpec` with
-        ``kind="robustness"`` and call
-        :func:`~repro.experiments.dag.run_experiment` instead.  Each
-        fraction's corruption now draws from an independent
-        ``(seed, fraction)``-keyed RNG stream instead of one sequential
-        stream, so a fraction's realization no longer depends on which
-        other fractions ran before it (a prerequisite for caching
-        per-fraction nodes independently).
-
-    Returns ``{fraction: {"LogiRec": metrics, "LogiRec++": metrics}}``.
-    """
-    import warnings
-    warnings.warn(
-        "run_noise_robustness(...) is deprecated; use "
-        "ExperimentSpec(kind='robustness', ...) with run_experiment()",
-        DeprecationWarning, stacklevel=2)
-    from repro.experiments.dag import ExperimentSpec, run_experiment
-    spec = ExperimentSpec(
-        kind="robustness", datasets=(str(dataset_name),),
-        fractions=tuple(fractions), seeds=(int(seed),), epochs=epochs)
-    return run_experiment(spec).robustness()
 
 
 def format_robustness_table(results: Dict[float, Dict[str, dict]],

@@ -1,24 +1,23 @@
-"""Model zoo and the overall comparison runner (Table II).
+"""Model zoo and the overall comparison table (Table II).
 
 The zoo maps each paper model name to a factory with per-family tuned
 hyperparameters (tuned once on validation data, like the paper's grid
-search).  ``run_comparison`` trains every requested model on every
-requested dataset over multiple seeds and reports mean +- std of
-Recall/NDCG@{10,20} in percent — the exact shape of Table II, including
-the Wilcoxon ``*`` of LogiRec++ over the best baseline.
+search).  A ``kind="comparison"`` :class:`~repro.experiments.ExperimentSpec`
+trains zoo models through the experiment DAG; this module renders its
+result as Table II — mean +- std of Recall/NDCG@{10,20} in percent,
+including the Wilcoxon ``*`` of LogiRec++ over the best baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from repro.core import LogiRec, LogiRecConfig, LogiRecPP
 from repro.data import InteractionDataset
-from repro.data.dataset import Split
-from repro.eval import Evaluator, wilcoxon_improvement
+from repro.eval import wilcoxon_improvement
 from repro.models import (AGCN, AMF, BPRMF, CML, CMLF, GDCF, HGCF, HRCF,
                           HyperML, LightGCN, NeuMF, SML, TrainConfig,
                           TransC)
@@ -101,48 +100,6 @@ def build_model(name: str, dataset: InteractionDataset, seed: int = 0):
         raise KeyError(f"unknown model {name!r}; available: "
                        f"{ALL_MODEL_NAMES}")
     return MODEL_ZOO[name](dataset, seed)
-
-
-def run_model(name: str, dataset: InteractionDataset, split: Split,
-              seed: int = 0, ks: Sequence[int] = (10, 20)):
-    """Train one zoo model and return its test :class:`EvaluationResult`."""
-    model = build_model(name, dataset, seed)
-    evaluator = Evaluator(dataset, split, ks=ks)
-    model.fit(dataset, split, evaluator=evaluator)
-    return evaluator.evaluate_test(model)
-
-
-def run_comparison(model_names: Optional[Iterable[str]] = None,
-                   dataset_names: Sequence[str] = ("ciao", "cd"),
-                   seeds: Sequence[int] = (0,),
-                   ks: Sequence[int] = (10, 20),
-                   epochs_override: Optional[int] = None) -> dict:
-    """Table II: every model on every dataset over seeds.
-
-    .. deprecated:: PR10
-        Build an :class:`~repro.experiments.dag.ExperimentSpec` with
-        ``kind="comparison"`` and call
-        :func:`~repro.experiments.dag.run_experiment` instead; this shim
-        forwards through the same spec→graph→scheduler path and rebuilds
-        the legacy return shape.
-
-    Returns ``{dataset: {model: {metric: (mean, std)}}}`` plus per-user
-    vectors of the last seed for significance testing under the key
-    ``"_per_user"``.
-    """
-    import warnings
-    warnings.warn(
-        "run_comparison(model_names=..., dataset_names=...) is "
-        "deprecated; use ExperimentSpec(kind='comparison', ...) with "
-        "run_experiment()", DeprecationWarning, stacklevel=2)
-    from repro.experiments.dag import ExperimentSpec, run_experiment
-    spec = ExperimentSpec(
-        kind="comparison",
-        models=tuple(model_names) if model_names else (),
-        datasets=tuple(dataset_names), seeds=tuple(seeds),
-        ks=tuple(ks), epochs=epochs_override)
-    return run_experiment(spec).comparison()
-
 
 
 def significance_vs_best_baseline(per_user: dict,

@@ -1,14 +1,16 @@
-"""Hyperparameter studies (Table IV) and the λ sweep (Fig. 6).
+"""Hyperparameter grid (Table IV) and the tuned base config it varies.
 
 Table IV varies one hyperparameter at a time around the tuned operating
 point: graph depth L, logical weight λ, margin m, and dimension d.  The
 paper sweeps d over {32, 64, 128} at full data scale; at bench scale the
-equivalent capacity sweep is {8, 16, 32}.
+equivalent capacity sweep is {8, 16, 32}.  The experiment DAG's
+``sweep`` and ``lambda`` (Fig. 6) sections train one node per grid
+value from :func:`_base_config`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
 from repro.core import LogiRecConfig
 from repro.experiments.runner import (LAMBDA_BY_DATASET,
@@ -32,57 +34,3 @@ def _base_config(ds_name: str, seed: int, epochs: Optional[int]
                          n_layers=LAYERS_BY_DATASET.get(ds_name, 3),
                          seed=seed)
 
-
-def run_hyperparameter_study(dataset_names: Sequence[str] = ("cd",),
-                             params: Optional[Sequence[str]] = None,
-                             seed: int = 0,
-                             epochs: Optional[int] = None,
-                             ks: Sequence[int] = (10,)) -> Dict:
-    """Table IV: sweep each hyperparameter one at a time.
-
-    .. deprecated:: PR10
-        Build an :class:`~repro.experiments.dag.ExperimentSpec` with
-        ``kind="sweep"`` and call
-        :func:`~repro.experiments.dag.run_experiment` instead.
-
-    Returns ``{dataset: {param: {value: {metric: pct}}}}``.
-    """
-    import warnings
-    warnings.warn(
-        "run_hyperparameter_study(...) is deprecated; use "
-        "ExperimentSpec(kind='sweep', ...) with run_experiment()",
-        DeprecationWarning, stacklevel=2)
-    from repro.experiments.dag import ExperimentSpec, run_experiment
-    spec = ExperimentSpec(
-        kind="sweep", datasets=tuple(dataset_names),
-        params=tuple(params) if params else (),
-        seeds=(int(seed),), epochs=epochs, ks=tuple(ks))
-    return run_experiment(spec).sweep()
-
-
-def run_lambda_sweep(dataset_names: Sequence[str] = ("ciao", "cd"),
-                     lambdas: Sequence[float] = (0.0, 0.01, 0.1, 1.0, 1.5),
-                     baseline: str = "HRCF", seed: int = 0,
-                     epochs: Optional[int] = None,
-                     ks: Sequence[int] = (10,)) -> Dict:
-    """Fig. 6: Recall/NDCG@10 of LogiRec++ across λ vs a fixed baseline.
-
-    .. deprecated:: PR10
-        Build an :class:`~repro.experiments.dag.ExperimentSpec` with
-        ``kind="lambda"`` and call
-        :func:`~repro.experiments.dag.run_experiment` instead.
-
-    Returns ``{dataset: {"baseline": {metric: pct},
-    "series": {lam: {metric: pct}}}}``.
-    """
-    import warnings
-    warnings.warn(
-        "run_lambda_sweep(...) is deprecated; use "
-        "ExperimentSpec(kind='lambda', ...) with run_experiment()",
-        DeprecationWarning, stacklevel=2)
-    from repro.experiments.dag import ExperimentSpec, run_experiment
-    spec = ExperimentSpec(
-        kind="lambda", datasets=tuple(dataset_names),
-        lambdas=tuple(lambdas), baseline=str(baseline),
-        seeds=(int(seed),), epochs=epochs, ks=tuple(ks))
-    return run_experiment(spec).lambda_sweep()

@@ -3,9 +3,8 @@
 One import gives every layer the same four verbs:
 
 * :func:`trace` / :func:`record_span` — wall-clock attribution (span tree);
-* :func:`count` / :func:`gauge_set` / :func:`observe` /
-  :func:`observe_hdr` — metrics registry (counters, gauges, reservoir
-  histograms, bounded-error HDR latency histograms);
+* :func:`count` / :func:`gauge_set` / :func:`observe` — metrics
+  registry (counters, gauges, bounded-error HDR histograms);
 * :func:`event` / :func:`trace_event` — free-form JSONL events, the
   latter stamped with the current request's
   :class:`~repro.obs.trace_context.TraceContext`;
@@ -43,7 +42,7 @@ from repro.obs.export import (build_chrome_trace, export_chrome_trace,
                               validate_chrome_trace)
 from repro.obs.hdr import HdrHistogram, WindowedHdrHistogram
 from repro.obs.logger import RateLimiter, get_logger
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.profile import SamplingProfiler
 from repro.obs.run import (Run, current_run, disable, finish_run, start_run)
 from repro.obs.sink import (JsonlSink, MemorySink, git_sha, read_events,
@@ -56,14 +55,14 @@ from repro.obs.trace_context import (TraceContext, bind_trace,
 from repro.obs.tracing import NULL_SPAN, Span, Tracer
 
 __all__ = [
-    "Counter", "Gauge", "HdrHistogram", "Histogram", "MetricsRegistry",
+    "Counter", "Gauge", "HdrHistogram", "MetricsRegistry",
     "Run", "SamplingProfiler", "Span", "TraceContext", "Tracer",
     "WindowedHdrHistogram", "NULL_SPAN", "JsonlSink", "MemorySink",
     "RateLimiter", "aggregate_spans", "bind_trace", "build_chrome_trace",
     "count", "current_run", "current_trace", "disable", "enabled",
     "event", "export_chrome_trace", "finish_run", "gauge_set",
     "get_logger", "git_sha", "list_runs", "nan_checks_enabled",
-    "new_trace", "observe", "observe_hdr", "read_events", "read_manifest",
+    "new_trace", "observe", "read_events", "read_manifest",
     "record_span", "render_span_tree", "start_run", "summarize",
     "summarize_json", "trace", "trace_event", "tree_coverage",
     "validate_chrome_trace",
@@ -114,13 +113,6 @@ def gauge_set(name: str, value: float) -> None:
 
 
 def observe(name: str, value: float) -> None:
-    """Observe one histogram value (no-op when disabled)."""
-    r = _run._RUN
-    if r is not None:
-        r.registry.histogram(name).observe(value)
-
-
-def observe_hdr(name: str, value: float) -> None:
     """Observe into a bounded-error HDR histogram (no-op when disabled)."""
     r = _run._RUN
     if r is not None:

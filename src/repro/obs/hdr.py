@@ -1,15 +1,12 @@
 """HDR-style histograms: log-scaled buckets, bounded error, mergeable.
 
-The reservoir histogram in :mod:`repro.obs.metrics` is right for training
-statistics (unknown range, moments matter most) but wrong for serving
-latency: reservoir percentiles carry sampling noise that grows in the
-tail — exactly where SLOs live — and two reservoirs cannot be merged,
-which the planned sharded multi-worker front-end needs.
-
-:class:`HdrHistogram` fixes both with geometric buckets.  With relative
-error bound ``eps``, bucket edges grow by ``base = (1 + eps)/(1 - eps)``
-and a value is reported as the arithmetic midpoint of its bucket, so the
-worst-case relative error of any reported quantile value is::
+:class:`HdrHistogram` is the one histogram type of :mod:`repro.obs`:
+serving latency, batch sizes, training losses and gradient norms all
+record into it through :func:`repro.obs.observe`.  Buckets are
+geometric.  With relative error bound ``eps``, bucket edges grow by
+``base = (1 + eps)/(1 - eps)`` and a value is reported as the arithmetic
+midpoint of its bucket, so the worst-case relative error of any
+reported quantile value is::
 
     (hi - lo) / (hi + lo)  =  (base - 1) / (base + 1)  =  eps
 
@@ -19,6 +16,12 @@ histograms with identical bucket geometry merge by adding their count
 arrays, making percentiles composable across processes, shards, and
 rolling time slices; :meth:`to_dict`/:meth:`from_dict` give the sparse
 wire form.
+
+Values below the floor ``min_value`` (default ``1e-3``), zero and
+negatives included, share one underflow bucket and are reported as the
+exact observed minimum.  NaN observations are counted in ``nan`` and
+kept out of the buckets, ``count``, ``total``, ``min`` and ``max``, so
+one NaN training loss neither crashes a run nor poisons its statistics.
 
 :class:`WindowedHdrHistogram` layers a rolling time window on top:
 ``n_slices`` sub-histograms rotate as wall-clock advances, and a
@@ -52,12 +55,13 @@ class HdrHistogram:
         Tracked range.  Observations below ``min_value`` land in one
         underflow bucket (reported as the exact observed minimum);
         observations at or above ``max_value`` land in one overflow
-        bucket (reported as the exact observed maximum).
+        bucket (reported as the exact observed maximum).  NaN
+        observations are only counted, in ``nan``.
     """
 
     __slots__ = ("name", "rel_error", "min_value", "max_value", "_base",
                  "_log_base", "n_buckets", "counts", "count", "total",
-                 "min", "max", "_lock")
+                 "min", "max", "nan", "_lock")
 
     def __init__(self, name: str, rel_error: float = 0.01,
                  min_value: float = 1e-3, max_value: float = 1e7):
@@ -85,6 +89,7 @@ class HdrHistogram:
         self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
+        self.nan = 0
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -113,6 +118,10 @@ class HdrHistogram:
     # ------------------------------------------------------------------
     def observe(self, value: float) -> None:
         value = float(value)
+        if math.isnan(value):
+            with self._lock:
+                self.nan += 1
+            return
         idx = self._index(value)
         with self._lock:
             self.count += 1
@@ -172,12 +181,13 @@ class HdrHistogram:
         with other._lock:
             counts = list(other.counts)
             count, total = other.count, other.total
-            omin, omax = other.min, other.max
+            omin, omax, onan = other.min, other.max, other.nan
         with self._lock:
             for i, n in enumerate(counts):
                 self.counts[i] += n
             self.count += count
             self.total += total
+            self.nan += onan
             if omin < self.min:
                 self.min = omin
             if omax > self.max:
@@ -197,6 +207,7 @@ class HdrHistogram:
                 "total": self.total,
                 "min": None if self.count == 0 else self.min,
                 "max": None if self.count == 0 else self.max,
+                "nan": self.nan,
                 "buckets": buckets,
             }
 
@@ -209,6 +220,7 @@ class HdrHistogram:
             hist.counts[int(key)] = int(n)
         hist.count = int(data.get("count", 0))
         hist.total = float(data.get("total", 0.0))
+        hist.nan = int(data.get("nan", 0))
         if hist.count:
             hist.min = float(data["min"])
             hist.max = float(data["max"])
@@ -216,9 +228,11 @@ class HdrHistogram:
 
     def summary(self) -> Dict[str, object]:
         if not self.count:
-            return {"count": 0}
+            return {"count": 0, "nan": self.nan} if self.nan \
+                else {"count": 0}
         return {
             "count": self.count,
+            "nan": self.nan,
             "total": self.total,
             "mean": self.mean,
             "min": self.min,

@@ -1,4 +1,4 @@
-"""Metrics primitives: counters, gauges, and histograms.
+"""Metrics primitives: counters, gauges, and HDR histograms.
 
 The registry is deliberately zero-dependency (stdlib only) so every layer
 of the library — including :mod:`repro.tensor`, which must not import
@@ -20,11 +20,8 @@ group related series.
 
 from __future__ import annotations
 
-import math
-import random
 import threading
-import zlib
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.obs.hdr import HdrHistogram
 
@@ -65,94 +62,8 @@ class Gauge:
         return self.value
 
 
-class Histogram:
-    """Streaming distribution with exact moments + reservoir percentiles.
-
-    Count/total/min/max are exact over every observation; percentiles come
-    from a fixed-size uniform reservoir (Vitter's algorithm R), so memory
-    stays bounded no matter how many batches a 300-epoch run observes.
-    The reservoir RNG is seeded from the metric name: two runs observing
-    the same sequence report identical percentiles.
-    """
-
-    __slots__ = ("name", "reservoir_size", "count", "total", "min", "max",
-                 "_samples", "_rng", "_lock")
-
-    def __init__(self, name: str, reservoir_size: int = 1024):
-        self.name = name
-        self.reservoir_size = int(reservoir_size)
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self._samples: List[float] = []
-        self._rng = random.Random(zlib.crc32(name.encode()))
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        with self._lock:
-            self.count += 1
-            self.total += value
-            if value < self.min:
-                self.min = value
-            if value > self.max:
-                self.max = value
-            if len(self._samples) < self.reservoir_size:
-                self._samples.append(value)
-            else:
-                j = self._rng.randrange(self.count)
-                if j < self.reservoir_size:
-                    self._samples[j] = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else math.nan
-
-    def percentile(self, q: float) -> float:
-        """Linear-interpolated percentile ``q`` in [0, 100] of the reservoir.
-
-        Pinned edge cases: an empty histogram returns NaN; ``q=0`` and
-        ``q=100`` return the *exact* observed min/max (tracked over every
-        observation, not just the reservoir); a single observation is
-        returned for every ``q``.  Out-of-range ``q`` raises instead of
-        extrapolating.
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"q must be in [0, 100], got {q}")
-        with self._lock:
-            if not self._samples:
-                return math.nan
-            if q == 0.0:
-                return self.min
-            if q == 100.0:
-                return self.max
-            ordered = sorted(self._samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        pos = (q / 100.0) * (len(ordered) - 1)
-        lo = int(math.floor(pos))
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = pos - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-    def summary(self) -> Dict[str, float]:
-        if not self.count:
-            return {"count": 0}
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.percentile(50.0),
-            "p90": self.percentile(90.0),
-            "p99": self.percentile(99.0),
-        }
-
-
 class MetricsRegistry:
-    """Get-or-create store for the four metric types.
+    """Get-or-create store for the three metric types.
 
     A name is bound to one type for the registry's lifetime; asking for it
     as another type raises — silent type confusion would corrupt the
@@ -183,17 +94,12 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
 
-    def histogram(self, name: str, reservoir_size: int = 1024) -> Histogram:
-        if name in self._metrics:
-            return self._get(name, Histogram)
-        return self._get(name, Histogram, reservoir_size=reservoir_size)
-
     def hdr(self, name: str, rel_error: float = 0.01,
             min_value: float = 1e-3, max_value: float = 1e7) -> HdrHistogram:
         """Bounded-relative-error latency histogram (see :mod:`repro.obs.hdr`).
 
         Creation keywords apply on first use only; later calls return the
-        existing histogram unchanged, like :meth:`histogram`.
+        existing histogram unchanged.
         """
         if name in self._metrics:
             return self._get(name, HdrHistogram)
@@ -206,7 +112,7 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """JSON-serializable view: ``{kind: {name: summary}}``, sorted."""
         out: Dict[str, Dict[str, object]] = {
-            "counters": {}, "gauges": {}, "histograms": {}, "hdr": {}}
+            "counters": {}, "gauges": {}, "hdr": {}}
         with self._lock:
             items = sorted(self._metrics.items())
         for name, metric in items:
@@ -214,8 +120,6 @@ class MetricsRegistry:
                 out["counters"][name] = metric.summary()
             elif isinstance(metric, Gauge):
                 out["gauges"][name] = metric.summary()
-            elif isinstance(metric, HdrHistogram):
-                out["hdr"][name] = metric.summary()
             else:
-                out["histograms"][name] = metric.summary()
+                out["hdr"][name] = metric.summary()
         return out

@@ -113,30 +113,20 @@ def _render_metrics(metrics: Dict[str, Dict[str, object]]) -> List[str]:
         for name, value in gauges.items():
             shown = f"{value:.6g}" if isinstance(value, float) else value
             lines.append(f"  {name:<44}{shown:>14}")
-    histograms = metrics.get("histograms", {})
-    if histograms:
-        lines.append("histograms:"
-                     f"  {'count':>8} {'mean':>12} {'p50':>12}"
-                     f" {'p90':>12} {'max':>12}")
-        for name, h in histograms.items():
-            if not h.get("count"):
-                lines.append(f"  {name:<42} {0:>8}")
-                continue
-            lines.append(
-                f"  {name:<42} {h['count']:>8} {h['mean']:>12.5g} "
-                f"{h['p50']:>12.5g} {h['p90']:>12.5g} {h['max']:>12.5g}")
     hdr = metrics.get("hdr", {})
     if hdr:
-        lines.append("hdr histograms:"
-                     f"  {'count':>4} {'mean':>12} {'p50':>12}"
+        lines.append("histograms:"
+                     f"{'count':>42} {'mean':>12} {'p50':>12}"
                      f" {'p95':>12} {'p99':>12}")
         for name, h in hdr.items():
+            nan = f"  nan={h['nan']}" if h.get("nan") else ""
             if not h.get("count"):
-                lines.append(f"  {name:<42} {0:>8}")
+                lines.append(f"  {name:<42} {0:>8}{nan}")
                 continue
             lines.append(
                 f"  {name:<42} {h['count']:>8} {h['mean']:>12.5g} "
-                f"{h['p50']:>12.5g} {h['p95']:>12.5g} {h['p99']:>12.5g}")
+                f"{h['p50']:>12.5g} {h['p95']:>12.5g} {h['p99']:>12.5g}"
+                f"{nan}")
     return lines
 
 

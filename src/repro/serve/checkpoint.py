@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Optional, Type
@@ -78,35 +77,7 @@ def _sha256_of(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _fold_legacy_positional(func: str, legacy_args: tuple,
-                            **keywords) -> Dict[str, object]:
-    """Shim for the PR4 signatures where dataset/split were positional.
-
-    The formal API takes them keyword-only; positional values are still
-    accepted for one deprecation cycle, folded into the keyword slots in
-    declaration order, and warned about.  Mixing both spellings for the
-    same slot is an error, not a guess.
-    """
-    if not legacy_args:
-        return keywords
-    names = list(keywords)
-    if len(legacy_args) > len(names):
-        raise TypeError(
-            f"{func}() takes at most {len(names)} optional arguments "
-            f"({', '.join(names)}), got {len(legacy_args)} positionally")
-    warnings.warn(
-        f"passing {', '.join(names[:len(legacy_args)])} to {func}() "
-        f"positionally is deprecated; pass keyword arguments instead",
-        DeprecationWarning, stacklevel=3)
-    for name, value in zip(names, legacy_args):
-        if keywords[name] is not None:
-            raise TypeError(
-                f"{func}() got {name} both positionally and as a keyword")
-        keywords[name] = value
-    return keywords
-
-
-def save_checkpoint(model, path, *legacy_args,
+def save_checkpoint(model, path, *,
                     dataset: Optional[InteractionDataset] = None) -> Path:
     """Write ``model`` to the directory ``path``; returns the directory.
 
@@ -115,8 +86,6 @@ def save_checkpoint(model, path, *legacy_args,
     deterministic synthetic dataset from the registry without the caller
     re-specifying it.
     """
-    dataset = _fold_legacy_positional("save_checkpoint", legacy_args,
-                                      dataset=dataset)["dataset"]
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     arrays_path = path / ARRAYS_FILE
@@ -177,7 +146,7 @@ def read_checkpoint_meta(path) -> Dict[str, object]:
     return meta
 
 
-def load_checkpoint(path, *legacy_args,
+def load_checkpoint(path, *,
                     dataset: Optional[InteractionDataset] = None,
                     split: Optional[Split] = None):
     """Rebuild the checkpointed model; returns the ready model.
@@ -189,9 +158,6 @@ def load_checkpoint(path, *legacy_args,
     state, and the loss history, making a resumed ``fit`` bit-identical
     to the never-serialized model continuing in place.
     """
-    folded = _fold_legacy_positional("load_checkpoint", legacy_args,
-                                     dataset=dataset, split=split)
-    dataset, split = folded["dataset"], folded["split"]
     path = Path(path)
     meta = read_checkpoint_meta(path)
     models = _model_registry()

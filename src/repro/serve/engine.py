@@ -35,7 +35,6 @@ counters), all no-ops unless a run is active.
 from __future__ import annotations
 
 import time
-import warnings
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence
 
@@ -88,30 +87,11 @@ class RecommendService:
     fallback_index:
         Optional stale :class:`RetrievalIndex` consulted when
         ``config.fallback == "stale_index"`` and primary scoring fails.
-    k, cache_size, exclude_seen:
-        Deprecated PR4-era keywords, kept as a shim; pass a
-        :class:`~repro.serve.ServiceConfig` instead.
     """
 
     def __init__(self, index: RetrievalIndex,
                  config: Optional[ServiceConfig] = None, *,
-                 fallback_index: Optional[RetrievalIndex] = None,
-                 k: Optional[int] = None, cache_size: Optional[int] = None,
-                 exclude_seen: Optional[bool] = None):
-        legacy = {name: value for name, value in
-                  (("k", k), ("cache_size", cache_size),
-                   ("exclude_seen", exclude_seen)) if value is not None}
-        if legacy:
-            if config is not None:
-                raise TypeError(
-                    "pass either a ServiceConfig or the legacy "
-                    f"keywords, not both (got config and {sorted(legacy)})")
-            warnings.warn(
-                "RecommendService(index, k=..., cache_size=..., "
-                "exclude_seen=...) is deprecated; pass "
-                "RecommendService(index, ServiceConfig(...)) instead",
-                DeprecationWarning, stacklevel=2)
-            config = ServiceConfig(**legacy)
+                 fallback_index: Optional[RetrievalIndex] = None):
         self.config = config if config is not None else ServiceConfig()
         self.index = index
         self.fallback_index = fallback_index
@@ -123,19 +103,6 @@ class RecommendService:
             "fallbacks": 0, "degraded": 0, "scoring_failures": 0,
             "retries": 0, "timeouts": 0, "breaker_opens": 0,
             "breaker_short_circuits": 0, "stale_index_hits": 0}
-
-    # -- deprecated attribute surface (reads forward to the config) ----
-    @property
-    def k(self) -> int:
-        return self.config.k
-
-    @property
-    def cache_size(self) -> int:
-        return self.config.cache_size
-
-    @property
-    def exclude_seen(self) -> bool:
-        return self.config.exclude_seen
 
     # ------------------------------------------------------------------
     # Cache
@@ -355,10 +322,10 @@ class RecommendService:
                 result = results[pos]
                 enq = t_batch if enqueued_at is None \
                     else float(enqueued_at[pos])
-                obs.observe_hdr("serve/queue_wait_ms",
-                                max(0.0, t_batch - enq) * 1e3)
+                obs.observe("serve/queue_wait_ms",
+                            max(0.0, t_batch - enq) * 1e3)
                 dur = time.monotonic() - enq
-                obs.observe_hdr("serve/latency_ms", dur * 1e3)
+                obs.observe("serve/latency_ms", dur * 1e3)
                 obs.record_span("serve/request", dur,
                                 user=result["user_id"],
                                 source=result["source"],

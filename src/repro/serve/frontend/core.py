@@ -516,8 +516,8 @@ class ServingFrontend:
         dur = now - pending.t_admit
         with obs.bind_trace(pending.ctx):
             obs.count("serve/requests")
-            obs.observe_hdr("serve/queue_wait_ms", wait * 1e3)
-            obs.observe_hdr("serve/latency_ms", dur * 1e3)
+            obs.observe("serve/queue_wait_ms", wait * 1e3)
+            obs.observe("serve/latency_ms", dur * 1e3)
             if result.get("fallback"):
                 obs.count("serve/fallbacks")
                 obs.trace_event("serve/fallback", user=pending.user_id,

@@ -20,9 +20,8 @@ by construction rather than by luck:
   exact shapes ``recommend()`` uses.  This matters because batched GEMM
   is **not** row-wise bit-identical to single-row matmul under BLAS
   blocking — ``(U @ V.T)[i]`` can differ from ``(U[i:i+1] @ V.T)[0]`` in
-  the last ulp.  The batched :meth:`score_batch` therefore defaults to
-  stacking exact per-row results; its ``gemm`` mode exists only for
-  throughput measurements.
+  the last ulp, so the index offers no batched scoring entry point;
+  the serving engine batches masking and ranking, not scoring.
 
 The index also carries everything request handling needs beyond scores:
 the train-interaction CSR structure (per-user seen-item masks) and a
@@ -143,27 +142,6 @@ class RetrievalIndex:
         """
         uid = int(user_id)
         return self._score_rows(np.array([uid], dtype=np.int64))[0]
-
-    def score_batch(self, user_ids: np.ndarray,
-                    mode: str = "exact") -> np.ndarray:
-        """Score matrix for a batch of users.
-
-        ``mode="exact"`` (default) stacks per-row exact scores and is
-        what the serving engine uses.  ``mode="gemm"`` evaluates the
-        formula once on the whole batch — faster, but only
-        almost-identical (BLAS batching changes last-ulp rounding), so
-        it is reserved for throughput benchmarking.
-        """
-        user_ids = np.asarray(user_ids, dtype=np.int64)
-        if mode == "gemm":
-            return self._score_rows(user_ids)
-        if mode != "exact":
-            raise ValueError(f"unknown scoring mode {mode!r}")
-        out = np.empty((len(user_ids), self.n_items), dtype=np.float64)
-        for row, uid in enumerate(user_ids):
-            out[row] = self._score_rows(
-                np.array([uid], dtype=np.int64))[0]
-        return out
 
     # ------------------------------------------------------------------
     # Masks and fallback

@@ -1,8 +1,8 @@
 """Tests for the resumable experiment DAG (spec → graph → scheduler).
 
 Covers the PR 10 contracts: config-hash stability across processes,
-cache hit/miss accounting, kill→resume bit-identity of aggregate
-tables, and shim-vs-spec equality of the deprecated entrypoints.
+cache hit/miss accounting, and kill→resume bit-identity of aggregate
+tables.
 """
 
 import json
@@ -95,11 +95,6 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             tiny_spec(datasets=("netflix",))
 
-    def test_unknown_variant_is_also_keyerror(self):
-        with pytest.raises(KeyError):
-            ExperimentSpec(kind="ablation", datasets=("ciao",),
-                           variants=("w/o magic",))
-
 
 class TestCaching:
     def test_ephemeral_runs_every_node(self):
@@ -169,40 +164,6 @@ class TestKillResume:
         assert resumed.format() == clean.format()
         assert (json.dumps(resumed.sections, sort_keys=True)
                 == json.dumps(clean.sections, sort_keys=True))
-
-
-class TestShimEquality:
-    def test_run_comparison_shim_matches_spec(self):
-        from repro.experiments import run_comparison
-        with pytest.deprecated_call():
-            legacy = run_comparison(model_names=["BPRMF", "CML"],
-                                    dataset_names=["ciao"], seeds=(0,),
-                                    epochs_override=EPOCHS)
-        spec = ExperimentSpec(kind="comparison",
-                              models=("BPRMF", "CML"),
-                              datasets=("ciao",), seeds=(0,),
-                              epochs=EPOCHS)
-        fresh = run_experiment(spec).comparison()
-        assert set(legacy["ciao"]) == set(fresh["ciao"])
-        for model in ("BPRMF", "CML"):
-            for metric, (mean, std) in legacy["ciao"][model].items():
-                if metric.startswith("_"):
-                    continue
-                f_mean, f_std = fresh["ciao"][model][metric]
-                assert mean == f_mean
-                assert std == f_std
-
-    def test_run_ablation_shim_matches_spec(self):
-        from repro.experiments import run_ablation
-        with pytest.deprecated_call():
-            legacy = run_ablation(dataset_names=["ciao"],
-                                  variants=["LogiRec++", "w/o HGCN"],
-                                  epochs=EPOCHS)
-        spec = ExperimentSpec(kind="ablation", datasets=("ciao",),
-                              variants=("LogiRec++", "w/o HGCN"),
-                              epochs=EPOCHS)
-        fresh = run_experiment(spec).ablation()
-        assert legacy == fresh
 
 
 class TestGridCompile:

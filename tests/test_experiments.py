@@ -6,10 +6,10 @@ import pytest
 from repro.core import LogiRecConfig, LogiRecPP
 from repro.data import load_dataset, temporal_split
 from repro.eval import Evaluator
-from repro.experiments import (ABLATIONS, build_model, case_studies,
+from repro.experiments import (ABLATIONS, ExperimentSpec, SpecError,
+                               build_model, case_rows,
                                embedding_projection,
-                               format_comparison_table, run_ablation,
-                               run_comparison, run_lambda_sweep, run_model,
+                               format_comparison_table, run_experiment,
                                tag_separation_scores,
                                tag_types_vs_origin_distance,
                                user_tag_type_distribution)
@@ -66,9 +66,9 @@ class TestModelZoo:
 
 class TestComparison:
     def test_run_comparison_structure(self):
-        results = run_comparison(model_names=["BPRMF", "LogiRec++"],
-                                 dataset_names=["ciao"], seeds=(0,),
-                                 epochs_override=4)
+        results = run_experiment(ExperimentSpec(
+            kind="comparison", models=("BPRMF", "LogiRec++"),
+            datasets=("ciao",), seeds=(0,), epochs=4)).comparison()
         assert "ciao" in results
         assert "BPRMF" in results["ciao"]
         mean, std = results["ciao"]["BPRMF"]["recall@10"]
@@ -76,9 +76,9 @@ class TestComparison:
         assert std == 0.0  # one seed
 
     def test_format_table_renders(self):
-        results = run_comparison(model_names=["BPRMF", "LogiRec++"],
-                                 dataset_names=["ciao"], seeds=(0,),
-                                 epochs_override=3)
+        results = run_experiment(ExperimentSpec(
+            kind="comparison", models=("BPRMF", "LogiRec++"),
+            datasets=("ciao",), seeds=(0,), epochs=3)).comparison()
         text = format_comparison_table(results)
         assert "BPRMF" in text
         assert "recall@10" in text
@@ -95,19 +95,19 @@ class TestComparison:
 
 class TestAblation:
     def test_all_variants_run(self):
-        results = run_ablation(dataset_names=["ciao"],
-                               variants=["LogiRec++", "w/o L_Ex",
-                                         "w/o HGCN", "w/o Hyper",
-                                         "w/o LRM"],
-                               epochs=4)
+        results = run_experiment(ExperimentSpec(
+            kind="ablation", datasets=("ciao",),
+            variants=("LogiRec++", "w/o L_Ex", "w/o HGCN", "w/o Hyper",
+                      "w/o LRM"),
+            epochs=4)).ablation()
         assert set(results["ciao"]) == {"LogiRec++", "w/o L_Ex",
                                         "w/o HGCN", "w/o Hyper",
                                         "w/o LRM"}
 
     def test_unknown_variant_raises(self):
-        with pytest.raises(KeyError):
-            run_ablation(dataset_names=["ciao"], variants=["w/o magic"],
-                         epochs=2)
+        with pytest.raises(SpecError):
+            ExperimentSpec(kind="ablation", datasets=("ciao",),
+                           variants=("w/o magic",), epochs=2)
 
     def test_ablation_list_matches_paper(self):
         for variant in ["w/o L_Mem", "w/o L_Hie", "w/o L_Ex", "w/o HGCN",
@@ -115,15 +115,17 @@ class TestAblation:
             assert variant in ABLATIONS
 
     def test_format_ablation(self):
-        results = run_ablation(dataset_names=["ciao"],
-                               variants=["LogiRec++"], epochs=2)
+        results = run_experiment(ExperimentSpec(
+            kind="ablation", datasets=("ciao",), variants=("LogiRec++",),
+            epochs=2)).ablation()
         assert "LogiRec++" in format_ablation_table(results)
 
 
 class TestSweeps:
     def test_lambda_sweep_structure(self):
-        results = run_lambda_sweep(dataset_names=["ciao"],
-                                   lambdas=(0.0, 1.0), epochs=4)
+        results = run_experiment(ExperimentSpec(
+            kind="lambda", datasets=("ciao",), lambdas=(0.0, 1.0),
+            ks=(10,), epochs=4)).lambda_sweep()
         assert set(results["ciao"]["series"]) == {0.0, 1.0}
         assert "recall@10" in results["ciao"]["baseline"]
 
@@ -158,7 +160,7 @@ class TestFigures:
 class TestCases:
     def test_case_studies_rows(self, small, trained_pp):
         ds, split = small
-        rows = case_studies(trained_pp, ds, split)
+        rows = case_rows(trained_pp, ds, split)
         assert 2 <= len(rows) <= 4
         for row in rows:
             assert set(row) >= {"user", "con", "gr", "alpha",
@@ -167,11 +169,11 @@ class TestCases:
 
     def test_case_studies_explicit_users(self, small, trained_pp):
         ds, split = small
-        rows = case_studies(trained_pp, ds, split, user_ids=[0, 1])
+        rows = case_rows(trained_pp, ds, split, user_ids=[0, 1])
         assert [r["user"] for r in rows] == [0, 1]
 
     def test_format_case_table(self, small, trained_pp):
         ds, split = small
-        rows = case_studies(trained_pp, ds, split, user_ids=[0])
+        rows = case_rows(trained_pp, ds, split, user_ids=[0])
         text = format_case_table(rows)
         assert "CON=" in text and "alpha=" in text

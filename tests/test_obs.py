@@ -1,7 +1,7 @@
 """Tests for the ``repro.obs`` telemetry subsystem.
 
 Covers the ISSUE-2 acceptance surface: span nesting/timing, metric
-semantics (counter / gauge / reservoir histogram), the JSONL sink +
+semantics (counter / gauge / HDR histogram), the JSONL sink +
 manifest round trip, the disabled-mode no-op overhead budget, NaN/inf
 gradient detection on a crafted divergent graph, and the instrumentation
 threaded through the sampler, manifolds, training loop, and CLI.
@@ -65,8 +65,8 @@ def test_registry_rejects_type_confusion():
 
 def test_histogram_moments_exact_and_percentiles_close():
     reg = obs.MetricsRegistry()
-    hist = reg.histogram("h", reservoir_size=256)
-    values = list(range(1, 2001))          # 1..2000, more than the reservoir
+    hist = reg.hdr("h")
+    values = list(range(1, 2001))          # 1..2000
     for v in values:
         hist.observe(v)
     summary = hist.summary()
@@ -74,23 +74,15 @@ def test_histogram_moments_exact_and_percentiles_close():
     assert summary["min"] == 1 and summary["max"] == 2000
     assert summary["total"] == sum(values)
     assert abs(summary["mean"] - 1000.5) < 1e-9
-    # Percentiles come from the reservoir: statistically close, not exact.
+    # Percentiles come from log buckets: within rel_error, not exact.
     assert abs(summary["p50"] - 1000) < 200
     assert abs(summary["p90"] - 1800) < 200
-    assert len(hist._samples) == 256       # bounded memory
-
-
-def test_histogram_reservoir_is_deterministic():
-    def build():
-        h = obs.Histogram("same-name", reservoir_size=64)
-        for v in range(1000):
-            h.observe(float(v))
-        return h.percentile(50.0)
-    assert build() == build()
+    assert abs(summary["p50"] - 1000) <= 1000 * hist.rel_error
+    assert len(hist.counts) == hist.n_buckets + 2   # bounded memory
 
 
 def test_empty_histogram_summary():
-    h = obs.Histogram("e")
+    h = obs.HdrHistogram("e")
     assert h.summary() == {"count": 0}
     assert math.isnan(h.percentile(50.0))
 
@@ -173,7 +165,8 @@ def test_jsonl_sink_and_manifest_round_trip(tmp_path):
     assert on_disk["dataset_stats"] == {"n_users": 11}
     assert on_disk["final_metrics"] == {"recall@10": 3.25}
     assert on_disk["metrics"]["counters"]["sampler/resampled"] == 3
-    assert on_disk["metrics"]["histograms"]["train/loss_batch"]["count"] == 1
+    assert on_disk["metrics"]["hdr"]["train/loss_batch"]["count"] == 1
+    assert "histograms" not in on_disk["metrics"]
 
     # Aggregation + rendering over the serialized events.
     roots = obs.aggregate_spans(events)
@@ -361,7 +354,7 @@ def test_fit_emits_spans_and_loss_stats(tmp_path, tiny):
     # Telemetry attribution: >= 90% of wall-clock lands in the span tree.
     coverage = obs.tree_coverage(roots, manifest["wall_s"])
     assert coverage >= 0.9, f"span coverage only {coverage:.1%}"
-    hist = manifest["metrics"]["histograms"]
+    hist = manifest["metrics"]["hdr"]
     assert hist["train/loss_epoch"]["count"] == 2
     assert hist["train/loss_batch"]["count"] == 4
     assert hist["train/loss_epoch"]["max"] == pytest.approx(6.0)
@@ -370,6 +363,27 @@ def test_fit_emits_spans_and_loss_stats(tmp_path, tiny):
     validate = next(c for c in epoch_node.children if c.name == "validate")
     evaluate = next(c for c in validate.children if c.name == "evaluate")
     assert {"score_users", "topk"} <= {c.name for c in evaluate.children}
+
+
+def test_fit_with_nan_batch_loss_records_telemetry(tmp_path, tiny):
+    """A NaN batch loss is counted apart, not bucketed or raised."""
+    dataset, split = tiny
+    run = obs.start_run(run_dir=tmp_path, config={})
+    config = TrainConfig(epochs=1, n_negatives=1,
+                         batch_size=(len(split.train) + 1) // 2)
+    model = _ScriptedModel(dataset.n_users, dataset.n_items,
+                           losses=[1.0, float("nan")], config=config)
+    model.fit(dataset, split)
+    run_dir = run.dir
+    manifest = obs.finish_run(final_metrics={})
+    hist = manifest["metrics"]["hdr"]
+    batch = hist["train/loss_batch"]
+    assert (batch["count"], batch["nan"]) == (1, 1)
+    assert batch["total"] == batch["min"] == batch["max"] == 1.0
+    assert hist["train/loss_epoch"] == {"count": 0, "nan": 1}
+    assert manifest["metrics"]["counters"][
+        "train/nonfinite_loss_epochs"] == 1
+    assert "nan=1" in obs.summarize(run_dir)
 
 
 # ----------------------------------------------------------------------

@@ -163,31 +163,40 @@ def test_registry_hdr_get_or_create_and_snapshot_section():
     reg.hdr("serve/latency_ms").observe(12.0)
     assert reg.hdr("serve/latency_ms").count == 1   # same object
     with pytest.raises(TypeError):
-        reg.histogram("serve/latency_ms")           # type confusion
+        reg.counter("serve/latency_ms")             # type confusion
     snap = reg.snapshot()
     assert snap["hdr"]["serve/latency_ms"]["count"] == 1
-    assert "serve/latency_ms" not in snap["histograms"]
+    assert set(snap) == {"counters", "gauges", "hdr"}
 
 
-# ----------------------------------------------------------------------
-# Pinned reservoir-histogram percentile edge cases (satellite 2)
-# ----------------------------------------------------------------------
-def test_reservoir_percentile_edge_cases_pinned():
-    reg = obs.MetricsRegistry()
-    hist = reg.histogram("h")
-    assert math.isnan(hist.percentile(50))          # empty -> NaN
-    with pytest.raises(ValueError):
-        hist.percentile(-0.001)
-    with pytest.raises(ValueError):
-        hist.percentile(101)
-    hist.observe(5.0)
-    for q in (0, 13, 50, 99, 100):                  # single observation
-        assert hist.percentile(q) == 5.0
-    hist.observe(1.0)
-    hist.observe(9.0)
-    assert hist.percentile(0) == 1.0                # exact min
-    assert hist.percentile(100) == 9.0              # exact max
-    assert hist.percentile(50) == 5.0
+def test_hdr_nan_is_counted_apart():
+    hist = HdrHistogram("h")
+    for v in (5.0, float("nan"), 1.0, 2.0, 3.0, 4.0):
+        hist.observe(v)
+    assert hist.nan == 1
+    assert hist.count == 5 and sum(hist.counts) == 5
+    assert hist.total == 15.0 and hist.mean == 3.0
+    assert (hist.min, hist.max) == (1.0, 5.0)
+    assert abs(hist.percentile(50) - 3.0) <= 3.0 * hist.rel_error
+    summary = hist.summary()
+    assert (summary["count"], summary["nan"]) == (5, 1)
+    only_nan = HdrHistogram("n")
+    only_nan.observe(float("nan"))
+    assert only_nan.summary() == {"count": 0, "nan": 1}
+    assert math.isnan(only_nan.percentile(50))
+
+
+def test_hdr_nan_survives_merge_and_wire_form():
+    a, b = HdrHistogram("h"), HdrHistogram("h")
+    a.observe(float("nan"))
+    b.observe(float("nan"))
+    b.observe(2.0)
+    a.merge(b)
+    assert (a.nan, a.count, a.min, a.max) == (2, 1, 2.0, 2.0)
+    back = HdrHistogram.from_dict(json.loads(json.dumps(a.to_dict())))
+    assert (back.nan, back.count) == (2, 1)
+    assert back.counts == a.counts
+    assert back.summary() == a.summary()
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +210,6 @@ def test_concurrent_metric_mutation_loses_nothing():
         for i in range(per_thread):
             reg.counter("c").inc()
             reg.gauge("g").set(float(i))
-            reg.histogram("h").observe(float(i))
             reg.hdr("l").observe(1.0 + i % 7)
 
     threads = [threading.Thread(target=work) for _ in range(n_threads)]
@@ -211,7 +219,6 @@ def test_concurrent_metric_mutation_loses_nothing():
         t.join()
     expected = n_threads * per_thread
     assert reg.counter("c").value == expected
-    assert reg.histogram("h").count == expected
     assert reg.hdr("l").count == expected
     assert sum(reg.hdr("l").counts) == expected
 
@@ -640,7 +647,7 @@ def test_bench_percentiles_are_hdr_derived():
 # Disabled-path overhead of the new helpers
 # ----------------------------------------------------------------------
 def test_disabled_v2_helpers_are_cheap():
-    """trace_event/observe_hdr priced like count/trace: ~a None check."""
+    """trace_event/observe priced like count/trace: ~a None check."""
     n = 20000
 
     def price(fn) -> float:
@@ -653,5 +660,5 @@ def test_disabled_v2_helpers_are_cheap():
         return best
 
     assert price(lambda: obs.trace_event("serve/retry", user=1)) < 2e-6
-    assert price(lambda: obs.observe_hdr("serve/latency_ms", 1.0)) < 2e-6
+    assert price(lambda: obs.observe("serve/latency_ms", 1.0)) < 2e-6
     assert price(lambda: obs.current_trace()) < 2e-6

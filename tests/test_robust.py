@@ -11,7 +11,6 @@ The two acceptance bars of the robustness subsystem:
   breaker trips, and fallbacks land in counters instead of exceptions.
 """
 
-import warnings
 import zlib
 
 import numpy as np
@@ -25,7 +24,7 @@ from repro.robust import (BreakerPolicy, CircuitBreaker, FaultPlan,
                           TrainingDivergedError, TrainingSupervisor,
                           has_fit_state)
 from repro.serve import (RecommendService, ServiceConfig, build_index,
-                         load_checkpoint, save_checkpoint)
+                         load_checkpoint)
 
 EPOCHS = 3
 
@@ -319,30 +318,12 @@ class TestServingResilience:
 
 
 class TestConfigShims:
-    def test_legacy_kwargs_warn_and_forward(self, served):
-        _, _, index, _ = served
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            service = RecommendService(index, k=7, cache_size=0)
-        assert service.k == 7 and service.cache_size == 0
-        assert service.config.k == 7
-
     def test_legacy_kwargs_conflict_with_config(self, served):
+        # k= and friends are rejected: a ServiceConfig is the only way
+        # to configure the engine.
         _, _, index, _ = served
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
             RecommendService(index, ServiceConfig(), k=7)
-
-    def test_checkpoint_positional_args_warn(self, setup, tmp_path):
-        ds, split = setup
-        model = build_model("BPRMF", ds, seed=0)
-        model.config.epochs = 1
-        model.fit(ds, split)
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            path = save_checkpoint(model, tmp_path / "ck", ds)
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            loaded = load_checkpoint(path, ds, split)
-        users = np.arange(ds.n_users)
-        assert np.array_equal(model.score_users(users),
-                              loaded.score_users(users))
 
     def test_service_config_validation(self):
         with pytest.raises(ValueError, match="fallback"):

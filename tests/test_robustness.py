@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.data import load_dataset
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.experiments.robustness import (corrupt_taxonomy,
                                           format_robustness_table,
-                                          run_noise_robustness,
                                           _with_taxonomy)
 from repro.taxonomy import Taxonomy
 
@@ -63,8 +63,9 @@ class TestCorruptTaxonomy:
 
 class TestRobustnessRun:
     def test_small_run_structure(self):
-        results = run_noise_robustness("ciao", fractions=(0.0, 0.5),
-                                       epochs=5)
+        results = run_experiment(ExperimentSpec(
+            kind="robustness", datasets=("ciao",), fractions=(0.0, 0.5),
+            epochs=5)).robustness()
         assert set(results) == {0.0, 0.5}
         for fraction in results:
             assert set(results[fraction]) == {"LogiRec", "LogiRec++"}
