@@ -62,6 +62,9 @@ class _FixedScoreModel:
     def score_users(self, user_ids: np.ndarray) -> np.ndarray:
         return self._scores[np.asarray(user_ids, dtype=np.int64)]
 
+    def export_scoring(self) -> dict:
+        return {"kind": "dense", "scores": self._scores}
+
 
 def _best_time(fn: Callable[[], object], repeats: int) -> float:
     """Best-of-N wall time of ``fn`` (min absorbs scheduler noise)."""

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # CI gate for the repro package:
 #   1. lint  — no bare print() in library code (cli.py is the
-#              presentation layer and is allowlisted) and no
-#              DeprecationWarning shim in src/repro; benchmarks/ must
+#              presentation layer and is allowlisted), no
+#              DeprecationWarning shim in src/repro, and no score
+#              formula called outside the one scoring kernel
+#              (score_rows in repro/manifolds/scoring.py); benchmarks/ must
 #              collect and every examples/*.py must import, because
 #              the tier-1 tests import neither and a deleted library
 #              name they still use would otherwise pass;
@@ -70,6 +72,21 @@ violations=$(grep -rn --include='*.py' 'DeprecationWarning' src/repro \
 if [ -n "$violations" ]; then
     echo "deprecation shim in library code (migrate its callers, then" \
          "delete it):"
+    echo "$violations"
+    exit 1
+fi
+echo "ok"
+
+echo "== lint: score formulas are called only by score_rows =="
+formulas='(lorentz_ranking_scores|poincare_ranking_scores|neg_dist_scores|neg_sq_dist_scores|gdcf_mixed_scores)[(]'
+violations=$( (grep -rnE --include='*.py' "^[^#]*\b$formulas" src/repro \
+        | grep -v '^src/repro/manifolds/scoring\.py:' || true
+    awk -v pat="$formulas" '/^(def|class) / { inside = /^def score_rows[(]/ }
+        !inside && !/^def / && $0 ~ pat { print FILENAME ":" FNR ":" $0 }' \
+        src/repro/manifolds/scoring.py) )
+if [ -n "$violations" ]; then
+    echo "score formula called outside score_rows (score through" \
+         "repro.manifolds.score_rows on an export_scoring() spec):"
     echo "$violations"
     exit 1
 fi

@@ -48,8 +48,6 @@ from repro.manifolds import (
     Lorentz,
     PoincareBall,
     enclosing_ball,
-    lorentz_ranking_scores,
-    neg_dist_scores,
     poincare_to_lorentz,
 )
 from repro.models.base import Recommender
@@ -247,21 +245,10 @@ class LogiRec(Recommender):
         with no_grad():
             return self._manifold_points()[0].data
 
-    def score_users(self, user_ids: np.ndarray) -> np.ndarray:
-        user_all, item_all = self.final_embeddings()
-        u = user_all[np.asarray(user_ids, dtype=np.int64)]
-        if self.config.hyperbolic:
-            # score = -d_H(u, v); computed via the Lorentz inner product.
-            return lorentz_ranking_scores(u, item_all)
-        return neg_dist_scores(u, item_all)
-
     def export_scoring(self):
-        """Frozen propagated tables for the serving index.
-
-        Exporting once is what makes serving fast: ``score_users`` above
-        re-runs the full hyperbolic GCN per call, while the index replays
-        only the final Lorentz/Euclidean distance arithmetic.
-        """
+        """Frozen propagated tables: one full hyperbolic GCN propagation,
+        after which every score replays only the final Lorentz/Euclidean
+        distance arithmetic."""
         user_all, item_all = self.final_embeddings()
         kind = "lorentz" if self.config.hyperbolic else "neg_dist"
         return {"kind": kind, "user": np.array(user_all),

@@ -1,17 +1,18 @@
 """Evaluation harness: full ranking over all users with held-out items.
 
-Models expose ``score_users(user_ids) -> (len(user_ids), n_items)`` score
-matrices; the evaluator masks training items and computes per-user
-Recall@K / NDCG@K vectors, which are also what the Wilcoxon significance
-test consumes.
+Models expose ``export_scoring()``, a frozen scoring spec.  Each pass
+exports once (for graph models, one propagation) and scores user batches
+through :func:`repro.manifolds.score_rows`; the evaluator masks training
+items and computes per-user Recall@K / NDCG@K vectors, which are also
+what the Wilcoxon significance test consumes.
 
-The hot path is fully vectorized: per user-batch it masks training items
-through the CSR structure of the train matrix, takes the top ``max(ks)``
-items with :func:`repro.eval.metrics.topk_indices` (``argpartition`` +
-stable candidate sort), and reduces a boolean hit matrix into every
-metric vector at once.  :meth:`Evaluator._reference_evaluate` keeps the
-original per-user loop; the equivalence tests pin the vectorized path to
-it bit-for-bit.
+The hot path is fully vectorized: per user-batch it builds the truth and
+train masks from CSR structures made once per evaluator, takes the top
+``max(ks)`` items with :func:`repro.eval.metrics.topk_indices`, and
+reduces a boolean hit matrix into every metric vector at once.
+:meth:`Evaluator._reference_evaluate` keeps the original per-user loop
+over ``model.score_users``; the equivalence tests pin the vectorized path
+to it bit-for-bit.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro import obs
 from repro.data.dataset import InteractionDataset, Split
 from repro.eval.metrics import (batch_ranking_metrics, ndcg_at_k,
                                 rank_items, recall_at_k, topk_indices)
+from repro.manifolds.scoring import score_rows
 
 
 def csr_row_coords(indptr: np.ndarray, indices: np.ndarray,
@@ -85,8 +88,8 @@ class Evaluator:
     ks:
         Cutoffs, default (10, 20) as in the paper.
     batch_size:
-        Users scored per ``score_users`` call.  Larger batches amortize
-        model overhead at ``batch_size * n_items * 8`` bytes of score
+        Users scored per ``score_rows`` call.  Larger batches amortize
+        per-call overhead at ``batch_size * n_items * 8`` bytes of score
         memory; benches tune this for the memory/speed trade-off.
     """
 
@@ -99,50 +102,49 @@ class Evaluator:
         self._train_items = dataset.items_of_user(split.train)
         self._valid_items = dataset.items_of_user(split.valid)
         self._test_items = dataset.items_of_user(split.test)
-        train_matrix = dataset.interaction_matrix(split.train)
-        self._train_indptr = train_matrix.indptr
-        self._train_indices = train_matrix.indices
+        self._train = dataset.interaction_matrix(split.train)
+        # Ground truth as CSR (duplicates collapsed, as the reference's
+        # set() does); a user is evaluated iff its row is non-empty.
+        self._valid_truth = dataset.interaction_matrix(split.valid)
+        self._test_truth = dataset.interaction_matrix(split.test)
 
     def _eval_users(self, target_items: Dict[int, np.ndarray]) -> np.ndarray:
         return np.array(sorted(u for u, items in target_items.items()
                                if len(items) > 0), dtype=np.int64)
 
-    def _train_coords(self, batch: np.ndarray):
-        """(row, item) coordinates of the batch users' training items."""
-        return csr_row_coords(self._train_indptr, self._train_indices,
-                              batch)
-
-    def _evaluate(self, model, target_items: Dict[int, np.ndarray],
+    def _evaluate(self, model, truth_csr: sp.csr_matrix,
                   batch_size: Optional[int] = None) -> EvaluationResult:
         batch_size = self.batch_size if batch_size is None else batch_size
-        users = self._eval_users(target_items)
+        users = np.flatnonzero(np.diff(truth_csr.indptr))
         kmax = max(self.ks)
         n_items = self.dataset.n_items
         chunks: List[Dict[str, np.ndarray]] = []
         # Phase accumulators: flushed as one pre-aggregated span per phase
         # so eval cost decomposes (model scoring vs. masking vs. ranking)
-        # in the telemetry span tree.
-        t_score = t_truth = t_topk = t_metrics = 0.0
+        # in the telemetry span tree.  ``score_users`` includes the
+        # pass's one export.
+        t_truth = t_topk = t_metrics = 0.0
         n_batches = 0
         with obs.trace("evaluate", n_users=int(len(users)),
                        ks=list(self.ks), batch_size=int(batch_size)):
+            t0 = time.perf_counter()
+            spec = model.export_scoring()
+            t_score = time.perf_counter() - t0
             for start in range(0, len(users), batch_size):
                 batch = users[start:start + batch_size]
                 t0 = time.perf_counter()
-                scores = np.array(model.score_users(batch), dtype=np.float64)
+                scores = score_rows(spec, batch)
                 t_score += time.perf_counter() - t0
                 t0 = time.perf_counter()
-                # Ground-truth membership matrix (duplicates collapse here;
-                # the recall denominator counts unique truth items, train
-                # overlap included, exactly as the reference's set() does).
+                # Ground-truth membership matrix; the recall denominator
+                # counts unique truth items, train overlap included.
                 truth = np.zeros((len(batch), n_items), dtype=bool)
-                t_rows = np.repeat(np.arange(len(batch)),
-                                   [len(target_items[u]) for u in batch])
-                truth[t_rows, np.concatenate(
-                    [target_items[u] for u in batch])] = True
+                truth[csr_row_coords(truth_csr.indptr, truth_csr.indices,
+                                     batch)] = True
                 truth_counts = truth.sum(axis=1)
                 # Mask train items: out of the ranking, and never a hit.
-                rows, cols = self._train_coords(batch)
+                rows, cols = csr_row_coords(self._train.indptr,
+                                            self._train.indices, batch)
                 scores[rows, cols] = -np.inf
                 truth[rows, cols] = False
                 t_truth += time.perf_counter() - t0
@@ -191,7 +193,7 @@ class Evaluator:
         return EvaluationResult(per_user=per_user, user_ids=users)
 
     def evaluate_valid(self, model) -> EvaluationResult:
-        return self._evaluate(model, self._valid_items)
+        return self._evaluate(model, self._valid_truth)
 
     def evaluate_test(self, model) -> EvaluationResult:
-        return self._evaluate(model, self._test_items)
+        return self._evaluate(model, self._test_truth)

@@ -126,18 +126,21 @@ def beyond_accuracy_report(model, dataset: InteractionDataset,
                            split, k: int = 10,
                            max_users: int = 200) -> Dict[str, float]:
     """One-call report of the extra metrics for a trained model."""
+    from repro.eval.metrics import rank_items
+    from repro.manifolds.scoring import score_rows
+
     train_items = dataset.items_of_user(split.train)
     test_items = dataset.items_of_user(split.test)
     users = sorted(u for u, items in test_items.items()
                    if len(items) > 0)[:max_users]
-    from repro.eval.metrics import rank_items
+    spec = model.export_scoring()  # once; each user scores as a (1, d) row
 
     per_metric: Dict[str, list] = {
         "precision": [], "map": [], "mrr": [],
         "tag_consistency": [], "exclusion_violation": []}
     rec_lists = []
     for u in users:
-        scores = model.score_users(np.array([u]))[0]
+        scores = score_rows(spec, [u])[0]
         exclude = set(int(i) for i in train_items.get(u, ()))
         ranked = rank_items(scores, exclude)
         truth = set(int(i) for i in test_items[u])

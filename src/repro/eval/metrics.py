@@ -68,10 +68,12 @@ def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
 
     Equivalent to ``np.argsort(-scores, axis=-1, kind="stable")[..., :k]``
     — descending score with ties broken by ascending item id — but costs
-    ``O(n + m log m)`` per row (``m`` = candidate count, usually ``k``)
-    instead of ``O(n log n)``, via ``np.partition`` for the K-th score
-    threshold plus a stable sort of only the at-or-above-threshold
-    candidates.  Accepts a 1-D score vector or a ``(batch, n)`` matrix.
+    ``O(n + k log k)`` per row instead of ``O(n log n)``: ``argpartition``
+    yields K candidates, and a stable sort of them (in ascending-id order)
+    by descending score reproduces the full sort's tie-breaking.  Only
+    rows where items outside the K tie the K-th score take every item at
+    or above it as candidates instead.  Accepts a 1-D score vector or a
+    ``(batch, n)`` matrix.
     """
     scores = np.asarray(scores)
     single = scores.ndim == 1
@@ -81,24 +83,26 @@ def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     if k >= n or n_rows == 0:
         out = np.argsort(-scores, axis=1, kind="stable")[:, :k]
         return out[0] if single else out
-    # Value of the K-th largest score per row; every item scoring >= it is
-    # a candidate.  Boundary ties make rows have more than K candidates.
-    kth = np.partition(scores, n - k, axis=1)[:, n - k]
-    ge = scores >= kth[:, None]
-    counts = ge.sum(axis=1)
-    width = int(counts.max())
-    rows, cols = np.nonzero(ge)  # cols ascend within each row
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    slot = np.arange(rows.size) - np.repeat(starts, counts)
-    cand = np.full((n_rows, width), n, dtype=np.int64)
-    cand[rows, slot] = cols
-    cand_scores = np.full((n_rows, width), -np.inf)
-    cand_scores[rows, slot] = scores[rows, cols]
-    # Candidates are stored in ascending-id order, so a stable sort on
-    # descending score reproduces the full stable argsort's tie-breaking;
-    # padding sits at -inf behind every row's >= K real candidates.
-    order = np.argsort(-cand_scores, axis=1, kind="stable")[:, :k]
+    part = np.argpartition(scores, n - k, axis=1)
+    kth = np.take_along_axis(scores, part[:, n - k:n - k + 1], axis=1)
+    cand = np.sort(part[:, n - k:], axis=1)
+    order = np.argsort(-np.take_along_axis(scores, cand, axis=1), axis=1,
+                       kind="stable")
     out = np.take_along_axis(cand, order, axis=1)
+    tied = np.flatnonzero(np.count_nonzero(scores >= kth, axis=1) > k)
+    if tied.size:
+        ge = scores[tied] >= kth[tied]
+        counts = ge.sum(axis=1)
+        rows, cols = np.nonzero(ge)  # cols ascend within each row
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        slot = np.arange(rows.size) - np.repeat(starts, counts)
+        cand = np.full((tied.size, int(counts.max())), n, dtype=np.int64)
+        cand[rows, slot] = cols
+        cand_scores = np.full(cand.shape, -np.inf)
+        cand_scores[rows, slot] = scores[tied[rows], cols]
+        # Padding sits at -inf behind every row's > K real candidates.
+        order = np.argsort(-cand_scores, axis=1, kind="stable")[:, :k]
+        out[tied] = np.take_along_axis(cand, order, axis=1)
     return out[0] if single else out
 
 

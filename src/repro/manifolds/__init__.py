@@ -11,13 +11,13 @@ The paper exploits the individual strengths of both models (Section III):
   Riemannian SGD (:mod:`repro.manifolds.lorentz`).
 
 Both are connected by the diffeomorphisms of Eq. (1)/(2)
-(:mod:`repro.manifolds.maps`).
+(:mod:`repro.manifolds.maps`).  Ranking scores for every model family come
+from one kernel, :func:`score_rows` (:mod:`repro.manifolds.scoring`).
 """
 
-from repro.manifolds.base import (Manifold, neg_dist_scores,
-                                  neg_sq_dist_scores)
-from repro.manifolds.poincare import PoincareBall, poincare_ranking_scores
-from repro.manifolds.lorentz import Lorentz, lorentz_ranking_scores
+from repro.manifolds.base import Manifold
+from repro.manifolds.poincare import PoincareBall
+from repro.manifolds.lorentz import Lorentz
 from repro.manifolds.maps import lorentz_to_poincare, poincare_to_lorentz
 from repro.manifolds.geodesic import (
     einstein_midpoint,
@@ -30,6 +30,13 @@ from repro.manifolds.hyperplane import (
     ball_contains_ball,
     ball_contains_point,
     balls_disjoint,
+)
+from repro.manifolds.scoring import (
+    lorentz_ranking_scores,
+    neg_dist_scores,
+    neg_sq_dist_scores,
+    poincare_ranking_scores,
+    score_rows,
 )
 
 __all__ = [
@@ -50,4 +57,5 @@ __all__ = [
     "poincare_ranking_scores",
     "neg_dist_scores",
     "neg_sq_dist_scores",
+    "score_rows",
 ]

@@ -57,29 +57,6 @@ class Manifold(abc.ABC):
         return f"{type(self).__name__}()"
 
 
-def neg_sq_dist_scores(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``-||u_b - v_i||^2`` score matrix for a user batch vs. all items.
-
-    The single ranking-score expression shared by the metric-learning
-    models and the serving index: both sides call this function, so the
-    precomputed-index scores are bit-identical to the live models'.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    sq = (np.sum(u * u, axis=1, keepdims=True) - 2.0 * u @ v.T
-          + np.sum(v * v, axis=1))
-    return -sq
-
-
-def neg_dist_scores(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``-||u_b - v_i||`` score matrix (TransC, Euclidean LogiRec)."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    sq = (np.sum(u * u, axis=1, keepdims=True) - 2.0 * u @ v.T
-          + np.sum(v * v, axis=1))
-    return -np.sqrt(np.maximum(sq, 0.0))
-
-
 class Euclidean(Manifold):
     """Trivial manifold: flat space (standard SGD behaviour)."""
 

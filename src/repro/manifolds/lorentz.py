@@ -184,24 +184,6 @@ class Lorentz(Manifold):
         return _origin(dim + 1)
 
 
-def lorentz_ranking_scores(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``-d_H(u_b, v_i)`` score matrix for a user batch vs. all items.
-
-    The Lorentzian inner product decomposes into one matvec on the spatial
-    coordinates plus an outer product of the time coordinates, which is
-    what the serving index precomputes.  Both the live models (HGCF,
-    hyperbolic LogiRec) and :class:`repro.serve.RetrievalIndex` score
-    through this one function, so index-backed scores are bit-identical
-    to the models'.  The ``arccosh`` clamp floors every inner product at
-    ``1 + 1e-12``: near-coincident pairs collapse to exact score ties,
-    which the shared top-K helper then breaks by ascending item id.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    inner = u[:, 1:] @ v[:, 1:].T - np.outer(u[:, 0], v[:, 0])
-    return -np.arccosh(np.maximum(-inner, 1.0 + 1e-12))
-
-
 # ----------------------------------------------------------------------
 # Reference kernel bodies — the original composed-op implementations,
 # registered so the backend dispatcher can fall back to them.  The fast

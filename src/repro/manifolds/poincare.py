@@ -136,24 +136,6 @@ class PoincareBall(Manifold):
         return self.project(rng.normal(0.0, scale, size=shape))
 
 
-def poincare_ranking_scores(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``-d_P(u_b, v_i)`` score matrix for a user batch vs. all items.
-
-    Shared between :meth:`repro.models.HyperML.score_users` and the
-    serving index so precomputed retrieval stays bit-identical to the
-    live model; the item-side ``||v||^2`` terms are what the index
-    precomputes.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    diff_sq = (np.sum(u * u, axis=1, keepdims=True) - 2.0 * u @ v.T
-               + np.sum(v * v, axis=1))
-    denom = np.outer(1.0 - np.sum(u * u, axis=1),
-                     1.0 - np.sum(v * v, axis=1))
-    arg = 1.0 + 2.0 * diff_sq / np.maximum(denom, 1e-15)
-    return -np.arccosh(np.maximum(arg, 1.0 + 1e-15))
-
-
 # ----------------------------------------------------------------------
 # Reference kernel bodies (original composed-op code); fast variants are
 # the hand-derived VJPs in repro.tensor.fused.

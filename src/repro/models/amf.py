@@ -68,13 +68,6 @@ class AMF(Recommender):
                    self.l2 / len(users))
         return bpr + reg
 
-    def score_users(self, user_ids: np.ndarray) -> np.ndarray:
-        from repro.tensor import no_grad
-        with no_grad():
-            fused = self._fused_items().data
-        u = self.user_emb.data[np.asarray(user_ids, dtype=np.int64)]
-        return u @ fused.T
-
     def export_scoring(self):
         from repro.tensor import no_grad
         with no_grad():

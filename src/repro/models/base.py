@@ -4,8 +4,9 @@ Every model implements two hooks:
 
 * :meth:`Recommender.batch_loss` — the training objective on a triplet
   batch (plus any model-specific regularizers);
-* :meth:`Recommender.score_users` — a dense ``(batch, n_items)`` score
-  matrix for ranking.
+* :meth:`Recommender.export_scoring` — a frozen scoring spec, the one
+  description of the model's ranking scores (NeuMF, whose scores cannot
+  be factored, overrides ``score_users`` and exports a dense table).
 
 :meth:`Recommender.fit` provides the common loop: epochs over a
 :class:`~repro.data.TripletSampler`, backward, optimizer step, and an
@@ -38,6 +39,7 @@ from repro import obs
 from repro.data.dataset import InteractionDataset, Split
 from repro.data.sampling import TripletSampler
 from repro.eval.metrics import topk_indices
+from repro.manifolds.scoring import score_rows
 from repro.optim.parameter import Parameter
 from repro.tensor import Tensor, no_grad
 from repro.tensor import backend as _backend
@@ -139,9 +141,17 @@ class Recommender(ServableModel):
                    neg: np.ndarray) -> Tensor:
         """Scalar loss for one triplet batch."""
 
-    @abc.abstractmethod
     def score_users(self, user_ids: np.ndarray) -> np.ndarray:
-        """Dense score matrix ``(len(user_ids), n_items)``; higher = better."""
+        """Dense score matrix ``(len(user_ids), n_items)``; higher = better.
+
+        Exports afresh on every call (a graph model propagates), so
+        callers scoring many batches export once and call ``score_rows``.
+        """
+        if type(self).export_scoring is Recommender.export_scoring:
+            raise NotImplementedError(
+                f"{type(self).__name__} must override export_scoring "
+                f"(or score_users, for a dense export)")
+        return score_rows(self.export_scoring(), user_ids)
 
     def prepare(self, dataset: InteractionDataset, split: Split) -> None:
         """Dataset-dependent setup (adjacency matrices, relations, ...)."""
@@ -500,14 +510,15 @@ class Recommender(ServableModel):
         return out
 
     def export_scoring(self) -> Dict[str, object]:
-        """Frozen scoring spec for the offline retrieval index.
+        """Frozen scoring spec: the one description of the scores.
 
         Returns ``{"kind": <score family>, ...arrays}`` consumed by
-        :class:`repro.serve.RetrievalIndex`.  Models whose score is a
-        user-factor / item-factor product override this with a factored
-        kind (one matvec per request); the base fallback precomputes the
-        dense ``(n_users, n_items)`` score matrix — always exact, but
-        only sensible for scorers that cannot be factored (NeuMF's MLP).
+        :func:`repro.manifolds.score_rows`, for :meth:`score_users`, the
+        evaluator and :class:`repro.serve.RetrievalIndex` alike.  Models
+        whose score is a user-factor / item-factor product override this
+        with a factored kind; the base fallback precomputes the dense
+        ``(n_users, n_items)`` matrix from an overridden
+        :meth:`score_users` (NeuMF's MLP).
         """
         users = np.arange(self.n_users, dtype=np.int64)
         rows = [self.score_users(users[s:s + 256])

@@ -53,10 +53,6 @@ class BPRMF(Recommender):
                    self.l2 / len(users))
         return bpr + reg
 
-    def score_users(self, user_ids: np.ndarray) -> np.ndarray:
-        u = self.user_emb.data[np.asarray(user_ids, dtype=np.int64)]
-        return u @ self.item_emb.data.T + self.item_bias.data.ravel()
-
     def export_scoring(self):
         return {"kind": "dot_bias", "user": self.user_emb.data.copy(),
                 "item": self.item_emb.data.copy(),

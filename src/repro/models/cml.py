@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.manifolds.base import Euclidean, Manifold, neg_sq_dist_scores
+from repro.manifolds.base import Euclidean, Manifold
 from repro.models.base import Recommender, TrainConfig
 from repro.optim import Adam, Parameter
 from repro.tensor import Tensor, clamp_min, gather_rows
@@ -71,10 +71,6 @@ class CML(Recommender):
         d_pos = self._sq_dist(users, pos)
         d_neg = self._sq_dist(users, neg)
         return clamp_min(self.config.margin + d_pos - d_neg, 0.0).mean()
-
-    def score_users(self, user_ids: np.ndarray) -> np.ndarray:
-        u = self.user_emb.data[np.asarray(user_ids, dtype=np.int64)]
-        return neg_sq_dist_scores(u, self.item_emb.data)
 
     def export_scoring(self):
         return {"kind": "neg_sq_dist", "user": self.user_emb.data.copy(),

@@ -13,7 +13,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.data.dataset import InteractionDataset, Split
-from repro.manifolds.base import neg_sq_dist_scores
 from repro.models.base import Recommender, TrainConfig
 from repro.models.cml import UnitBall
 from repro.optim import Adam, Parameter
@@ -71,10 +70,6 @@ class CMLF(Recommender):
         target = gather_rows(centroids, batch_items)
         feature = ((item_vecs - target) ** 2).sum(axis=-1).mean()
         return metric + self.feature_weight * feature
-
-    def score_users(self, user_ids: np.ndarray) -> np.ndarray:
-        u = self.user_emb.data[np.asarray(user_ids, dtype=np.int64)]
-        return neg_sq_dist_scores(u, self.item_emb.data)
 
     def export_scoring(self):
         return {"kind": "neg_sq_dist", "user": self.user_emb.data.copy(),

@@ -25,22 +25,6 @@ from repro.tensor import (Tensor, cat, clamp_min, exp, gather_rows,
                           no_grad, norm)
 
 
-def gdcf_mixed_scores(u_h: np.ndarray, v_h: np.ndarray, u_e: np.ndarray,
-                      v_e: np.ndarray, mix: float) -> np.ndarray:
-    """GDCF's geometry-mix score: ``-(d_H^2 + mix * d_E)``.
-
-    Shared by :meth:`GDCF.score_users` and the serving index so the
-    precomputed hyperbolic/Euclidean factor tables reproduce the live
-    model's scores bit-for-bit.
-    """
-    inner = u_h[:, 1:] @ v_h[:, 1:].T - np.outer(u_h[:, 0], v_h[:, 0])
-    d_h = -2.0 - 2.0 * inner  # squared Lorentzian distance
-    sq = (np.sum(u_e * u_e, axis=1, keepdims=True) - 2.0 * u_e @ v_e.T
-          + np.sum(v_e * v_e, axis=1))
-    d_e = np.sqrt(np.maximum(sq, 0.0))
-    return -(d_h + mix * d_e)
-
-
 class GDCF(Recommender):
     """Two-geometry (Euclidean + Lorentz) disentangled CF."""
 
@@ -106,14 +90,6 @@ class GDCF(Recommender):
         d_pos = self._distances(users, pos, tables)
         d_neg = self._distances(users, neg, tables)
         return clamp_min(self.config.margin + d_pos - d_neg, 0.0).mean()
-
-    def score_users(self, user_ids: np.ndarray) -> np.ndarray:
-        user_ids = np.asarray(user_ids, dtype=np.int64)
-        with no_grad():
-            user_h, item_h, user_e, item_e = self._propagate_both()
-        return gdcf_mixed_scores(
-            user_h.data[user_ids], item_h.data, user_e.data[user_ids],
-            item_e.data, float(np.exp(self.mix_logit.data[0])))
 
     def export_scoring(self):
         with no_grad():

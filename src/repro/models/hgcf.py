@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.hgcn import hyperbolic_gcn
 from repro.data.dataset import InteractionDataset, Split
-from repro.manifolds import Lorentz, lorentz_ranking_scores
+from repro.manifolds import Lorentz
 from repro.models.base import Recommender, TrainConfig
 from repro.optim import Adam, Parameter, RiemannianSGD
 from repro.tensor import Tensor, cat, clamp_min, gather_rows, no_grad
@@ -91,12 +91,6 @@ class HGCF(Recommender):
         d_pos = Lorentz.sqdist(u, v_p)
         d_neg = Lorentz.sqdist(u, v_q)
         return clamp_min(self.config.margin + d_pos - d_neg, 0.0).mean()
-
-    def score_users(self, user_ids: np.ndarray) -> np.ndarray:
-        with no_grad():
-            user_all, item_all = self._propagated()
-        u = user_all.data[np.asarray(user_ids, dtype=np.int64)]
-        return lorentz_ranking_scores(u, item_all.data)
 
     def export_scoring(self):
         with no_grad():

@@ -11,7 +11,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.manifolds import PoincareBall, poincare_ranking_scores
+from repro.manifolds import PoincareBall
 from repro.models.base import Recommender, TrainConfig
 from repro.optim import Adam, Parameter, RiemannianSGD
 from repro.tensor import Tensor, clamp_min, gather_rows, no_grad, norm
@@ -74,12 +74,6 @@ class HyperML(Recommender):
         gap = d_pos - d_euc
         distortion = (gap * gap).mean()
         return pull_push + self.distortion_weight * distortion
-
-    def score_users(self, user_ids: np.ndarray) -> np.ndarray:
-        with no_grad():
-            user_table, item_table = self._ball_tables()
-        u = user_table.data[np.asarray(user_ids, dtype=np.int64)]
-        return poincare_ranking_scores(u, item_table.data)
 
     def export_scoring(self):
         with no_grad():

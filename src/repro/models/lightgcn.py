@@ -67,12 +67,6 @@ class LightGCN(Recommender):
                    self.l2 / len(users))
         return bpr + reg
 
-    def score_users(self, user_ids: np.ndarray) -> np.ndarray:
-        with no_grad():
-            user_all, item_all = self._propagated()
-        u = user_all.data[np.asarray(user_ids, dtype=np.int64)]
-        return u @ item_all.data.T
-
     def export_scoring(self):
         with no_grad():
             user_all, item_all = self._propagated()

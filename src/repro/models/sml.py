@@ -12,7 +12,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.manifolds.base import neg_sq_dist_scores
 from repro.models.base import Recommender, TrainConfig
 from repro.models.cml import UnitBall
 from repro.optim import Adam, Parameter
@@ -78,10 +77,6 @@ class SML(Recommender):
             self.max_margin - m_i.mean())
         return (user_term + self.gamma * item_term
                 + self.margin_reg * margin_term)
-
-    def score_users(self, user_ids: np.ndarray) -> np.ndarray:
-        u = self.user_emb.data[np.asarray(user_ids, dtype=np.int64)]
-        return neg_sq_dist_scores(u, self.item_emb.data)
 
     def export_scoring(self):
         return {"kind": "neg_sq_dist", "user": self.user_emb.data.copy(),

@@ -19,7 +19,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.data.dataset import InteractionDataset, Split
-from repro.manifolds.base import neg_dist_scores
 from repro.models.base import Recommender, TrainConfig
 from repro.optim import Adam, Parameter
 from repro.tensor import Tensor, clamp_min, gather_rows, norm, softplus
@@ -87,10 +86,6 @@ class TransC(Recommender):
         d_neg = norm(u - v_q, axis=-1)
         rank = clamp_min(self.config.margin + d_pos - d_neg, 0.0).mean()
         return rank + self.relation_weight * self._relation_loss()
-
-    def score_users(self, user_ids: np.ndarray) -> np.ndarray:
-        u = self.user_emb.data[np.asarray(user_ids, dtype=np.int64)]
-        return neg_dist_scores(u, self.item_emb.data)
 
     def export_scoring(self):
         return {"kind": "neg_dist", "user": self.user_emb.data.copy(),

@@ -10,18 +10,13 @@ final distance arithmetic — one small matvec per request.
 Exactness contract
 ------------------
 ``RetrievalIndex.score_user(u)`` is bit-identical to
-``model.score_users(np.array([u]))[0]``.  Two ingredients make that hold
-by construction rather than by luck:
-
-* the per-kind formulas are the *same module-level functions* the live
-  models call (``lorentz_ranking_scores`` & co. in :mod:`repro.manifolds`,
-  ``gdcf_mixed_scores`` in :mod:`repro.models.gdcf`);
-* scoring always slices a ``(1, d)`` row and calls the formula with the
-  exact shapes ``recommend()`` uses.  This matters because batched GEMM
-  is **not** row-wise bit-identical to single-row matmul under BLAS
-  blocking — ``(U @ V.T)[i]`` can differ from ``(U[i:i+1] @ V.T)[0]`` in
-  the last ulp, so the index offers no batched scoring entry point;
-  the serving engine batches masking and ranking, not scoring.
+``model.score_users(np.array([u]))[0]`` by construction: both are
+:func:`repro.manifolds.score_rows` on the same exported spec, called on
+the ``(1, d)`` row ``recommend()`` uses.  The row shape matters because
+batched GEMM is **not** row-wise bit-identical to single-row matmul under
+BLAS blocking — ``(U @ V.T)[i]`` can differ from ``(U[i:i+1] @ V.T)[0]``
+in the last ulp, so the index offers no batched scoring entry point; the
+serving engine batches masking and ranking, not scoring.
 
 The index also carries everything request handling needs beyond scores:
 the train-interaction CSR structure (per-user seen-item masks) and a
@@ -39,6 +34,7 @@ import numpy as np
 
 from repro.data.dataset import InteractionDataset, Split
 from repro.eval.evaluator import csr_row_coords
+from repro.manifolds.scoring import score_rows
 
 INDEX_VERSION = 1
 
@@ -103,45 +99,18 @@ class RetrievalIndex:
         self.meta = dict(meta)
         self.n_users = int(meta["n_users"])
         self.n_items = int(meta["n_items"])
+        self._spec = {"kind": kind, **self.arrays, **self.scalars}
 
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def _score_rows(self, user_ids: np.ndarray) -> np.ndarray:
-        """Score formula on a user-id slice; shape-faithful to the kind."""
-        from repro.manifolds import (lorentz_ranking_scores,
-                                     neg_dist_scores, neg_sq_dist_scores,
-                                     poincare_ranking_scores)
-        from repro.models.gdcf import gdcf_mixed_scores
-
-        a = self.arrays
-        if self.kind == "dense":
-            return a["scores"][user_ids]
-        if self.kind == "gdcf_mix":
-            return gdcf_mixed_scores(
-                a["user_h"][user_ids], a["item_h"],
-                a["user_e"][user_ids], a["item_e"], self.scalars["mix"])
-        u = a["user"][user_ids]
-        if self.kind == "dot":
-            return u @ a["item"].T
-        if self.kind == "dot_bias":
-            return u @ a["item"].T + a["bias"]
-        if self.kind == "neg_sq_dist":
-            return neg_sq_dist_scores(u, a["item"])
-        if self.kind == "neg_dist":
-            return neg_dist_scores(u, a["item"])
-        if self.kind == "lorentz":
-            return lorentz_ranking_scores(u, a["item"])
-        return poincare_ranking_scores(u, a["item"])
-
     def score_user(self, user_id: int) -> np.ndarray:
         """Exact score row — bit-identical to the live model's.
 
         Always evaluates the formula on a ``(1, d)`` slice, matching the
         shapes ``Recommender.recommend`` feeds ``score_users``.
         """
-        uid = int(user_id)
-        return self._score_rows(np.array([uid], dtype=np.int64))[0]
+        return score_rows(self._spec, [int(user_id)])[0]
 
     # ------------------------------------------------------------------
     # Masks and fallback

@@ -465,7 +465,7 @@ class TestMixedPrecision:
         assert loss.data.dtype == np.float64
 
     def test_ranking_scores_are_float64(self):
-        from repro.manifolds.lorentz import lorentz_ranking_scores
+        from repro.manifolds import lorentz_ranking_scores
         u = _lorentz_points(4, 5, 0).astype(np.float32)
         v = _lorentz_points(6, 5, 1).astype(np.float32)
         assert lorentz_ranking_scores(u, v).dtype == np.float64

@@ -74,6 +74,7 @@ class _OracleModel:
 
     def __init__(self, dataset, split):
         self.truth = dataset.items_of_user(split.test)
+        self.n_users = dataset.n_users
         self.n_items = dataset.n_items
 
     def score_users(self, user_ids):
@@ -83,14 +84,23 @@ class _OracleModel:
                 scores[row, item] = 1.0
         return scores
 
+    def export_scoring(self):
+        return {"kind": "dense",
+                "scores": self.score_users(np.arange(self.n_users))}
+
 
 class _RandomModel:
-    def __init__(self, n_items, seed=0):
+    def __init__(self, n_users, n_items, seed=0):
+        self.n_users = n_users
         self.n_items = n_items
         self.rng = np.random.default_rng(seed)
 
     def score_users(self, user_ids):
         return self.rng.normal(size=(len(user_ids), self.n_items))
+
+    def export_scoring(self):
+        return {"kind": "dense",
+                "scores": self.score_users(np.arange(self.n_users))}
 
 
 class TestEvaluator:
@@ -111,7 +121,7 @@ class TestEvaluator:
     def test_random_model_near_chance(self, setup):
         ds, split = setup
         evaluator = Evaluator(ds, split, ks=(10,))
-        result = evaluator.evaluate_test(_RandomModel(ds.n_items))
+        result = evaluator.evaluate_test(_RandomModel(ds.n_users, ds.n_items))
         # Chance recall@10 is roughly 10 / (n_items - train) ~ 25%.
         assert result["recall@10"] < 60.0
 
@@ -126,7 +136,7 @@ class TestEvaluator:
     def test_per_user_vectors_align(self, setup):
         ds, split = setup
         evaluator = Evaluator(ds, split, ks=(10, 20))
-        result = evaluator.evaluate_test(_RandomModel(ds.n_items))
+        result = evaluator.evaluate_test(_RandomModel(ds.n_users, ds.n_items))
         n = len(result.user_ids)
         for metric, vector in result.per_user.items():
             assert len(vector) == n
@@ -141,7 +151,7 @@ class TestEvaluator:
     def test_summary_string(self, setup):
         ds, split = setup
         evaluator = Evaluator(ds, split)
-        result = evaluator.evaluate_test(_RandomModel(ds.n_items))
+        result = evaluator.evaluate_test(_RandomModel(ds.n_users, ds.n_items))
         assert "recall@10=" in result.summary()
 
 

@@ -16,6 +16,9 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.data import (SyntheticConfig, generate_dataset, load_dataset,
                         temporal_split)
@@ -37,6 +40,28 @@ class _RandomModel:
 
     def score_users(self, user_ids):
         return self._scores[np.asarray(user_ids, dtype=np.int64)]
+
+    def export_scoring(self):
+        return {"kind": "dense", "scores": self._scores}
+
+
+@st.composite
+def _tie_heavy_scores(draw):
+    n_rows = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 40))
+    levels = draw(st.integers(1, 4))  # few distinct values -> many ties
+    scores = draw(hnp.arrays(np.int64, (n_rows, n),
+                             elements=st.integers(0, levels)))
+    scores = scores.astype(np.float64) / levels
+    signs = draw(hnp.arrays(bool, (n_rows, n)))
+    scores[signs & (scores == 0.0)] = -0.0
+    # Masked (-inf) entries leave some rows fewer than K finite scores.
+    masked = draw(hnp.arrays(bool, (n_rows, n)))
+    scores[masked] = -np.inf
+    if draw(st.booleans()):
+        scores[0, :] = -np.inf
+    k = draw(st.integers(1, n + 3))  # includes K >= n
+    return scores, k
 
 
 class TestTopKIndices:
@@ -71,6 +96,24 @@ class TestTopKIndices:
     def test_one_dimensional_input(self):
         scores = np.array([0.5, -1.0, 2.0, 0.5])
         np.testing.assert_array_equal(topk_indices(scores, 3), [2, 0, 3])
+
+    @given(case=_tie_heavy_scores())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_argsort(self, case):
+        scores, k = case
+        expected = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(topk_indices(scores, k), expected)
+        np.testing.assert_array_equal(topk_indices(scores[0], k),
+                                      expected[0])
+
+    @given(case=_tie_heavy_scores(), seed=st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_with_continuous_scores_and_ties(self, case, seed):
+        scores, k = case
+        noise = np.random.default_rng(seed).standard_normal(scores.shape)
+        mixed = np.where(noise > 0.5, noise, scores)
+        expected = np.argsort(-mixed, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(topk_indices(mixed, k), expected)
 
 
 def _assert_results_identical(vect, ref):

@@ -94,13 +94,17 @@ class TestEvaluatorBatching:
                 cols = np.arange(self.n_items, dtype=float)[None, :]
                 return np.sin(rows + 1.0) * np.cos(cols * 0.1)
 
+            def export_scoring(self):
+                return {"kind": "dense",
+                        "scores": self.score_users(np.arange(ds.n_users))}
+
         ds = load_dataset("ciao", scale=0.4)
         split = temporal_split(ds)
         evaluator = Evaluator(ds, split)
         model = Deterministic(ds.n_items)
-        small = evaluator._evaluate(model, evaluator._test_items,
+        small = evaluator._evaluate(model, evaluator._test_truth,
                                     batch_size=3)
-        large = evaluator._evaluate(model, evaluator._test_items,
+        large = evaluator._evaluate(model, evaluator._test_truth,
                                     batch_size=512)
         for metric in small.per_user:
             np.testing.assert_allclose(small.per_user[metric],
