@@ -4,10 +4,14 @@
 #              presentation layer and is allowlisted), no
 #              DeprecationWarning shim in src/repro, and no score
 #              formula called outside the one scoring kernel
-#              (score_rows in repro/manifolds/scoring.py); benchmarks/ must
-#              collect and every examples/*.py must import, because
-#              the tier-1 tests import neither and a deleted library
-#              name they still use would otherwise pass;
+#              (score_rows in repro/manifolds/scoring.py), no Eq. 12
+#              level weighting ("exclusion_levels" or "exp(eta")
+#              outside taxonomy/ and the one consistency kernel in
+#              core/weighting.py, and no assignment to an instance's
+#              .prepare; benchmarks/ must collect and every
+#              examples/*.py must import, because the tier-1 tests
+#              import neither and a deleted library name they still
+#              use would otherwise pass;
 #   2. tests — the tier-1 pytest suite;
 #   3. smoke — a tiny --telemetry training run must leave a readable
 #              manifest + event log that `repro obs summarize` renders;
@@ -87,6 +91,21 @@ violations=$( (grep -rnE --include='*.py' "^[^#]*\b$formulas" src/repro \
 if [ -n "$violations" ]; then
     echo "score formula called outside score_rows (score through" \
          "repro.manifolds.score_rows on an export_scoring() spec):"
+    echo "$violations"
+    exit 1
+fi
+echo "ok"
+
+echo "== lint: one Eq. 11/12 kernel, no per-instance prepare =="
+violations=$( (grep -rnE --include='*.py' '^[^#]*(exclusion_levels|exp[(]eta)' \
+        src/repro | grep -vE '^src/repro/(taxonomy/|core/weighting\.py:)' \
+        || true
+    grep -rnE --include='*.py' \
+        "^[^#]*(\.prepare[[:space:]]*=([^=]|$)|setattr[(][^,]+,[[:space:]]*['\"]prepare['\"])" \
+        src/repro || true) )
+if [ -n "$violations" ]; then
+    echo "Eq. 12 level weighting outside repro/core/weighting.py, or a" \
+         "per-instance prepare (pass weights through Split.train_weights):"
     echo "$violations"
     exit 1
 fi

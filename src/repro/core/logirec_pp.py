@@ -5,7 +5,9 @@ alpha_u = sqrt(CON_u * GR_u) (Eq. 14):
 
 * **CON_u** (Eq. 12) is computed once from data — the fewer / lower-level
   exclusive tag pairs in the user's interaction history, the more
-  consistent the user and the higher the weight;
+  consistent the user and the higher the weight.  ``prepare`` counts the
+  train interactions with ``split.train_weights`` (unit when ``None``;
+  recency weights in online fine-tuning);
 * **GR_u** (Eq. 13) is the current distance of the user's Lorentz
   embedding from the origin, refreshed at the start of every epoch as the
   embedding moves — finer-granularity users (far from the origin) need
@@ -47,9 +49,11 @@ class LogiRecPP(LogiRec):
 
     def prepare(self, dataset: InteractionDataset, split: Split) -> None:
         super().prepare(dataset, split)
-        user_tags = dataset.user_tag_lists(split.train)
-        self._con = consistency_weights(user_tags, dataset.relations,
-                                        self.n_users, eta=self.config.eta)
+        users, tags, weights = dataset.tag_occurrences(
+            split.train, split.train_weights)
+        self._con = consistency_weights(users, tags, dataset.relations,
+                                        self.n_users, eta=self.config.eta,
+                                        weights=weights)
         self._refresh_alpha()
 
     def _refresh_alpha(self) -> None:

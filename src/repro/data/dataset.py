@@ -9,7 +9,7 @@ partition of interaction indices (the paper's 60/20/20 per-user protocol).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,16 +29,27 @@ class StreamError(ValueError):
 
 @dataclass
 class Split:
-    """Index arrays into an :class:`InteractionDataset`'s interaction list."""
+    """Index arrays into an :class:`InteractionDataset`'s interaction list.
+
+    ``train_weights``, when set, weighs each ``train`` interaction in
+    LogiRec++'s tag frequencies (Eq. 11) — online fine-tuning sets
+    recency weights there; ``None`` means unit weights.
+    """
 
     train: np.ndarray
     valid: np.ndarray
     test: np.ndarray
+    train_weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.train = np.asarray(self.train, dtype=np.int64)
         self.valid = np.asarray(self.valid, dtype=np.int64)
         self.test = np.asarray(self.test, dtype=np.int64)
+        if self.train_weights is not None:
+            self.train_weights = np.asarray(self.train_weights,
+                                            dtype=np.float64)
+            if self.train_weights.shape != self.train.shape:
+                raise ValueError("train_weights must align with train")
 
 
 class InteractionDataset:
@@ -133,24 +144,32 @@ class InteractionDataset:
         return [csr.indices[csr.indptr[i]:csr.indptr[i + 1]]
                 for i in np.asarray(items)]
 
-    def user_tag_lists(self, indices: Optional[np.ndarray] = None
-                       ) -> Dict[int, np.ndarray]:
-        """The multiset T_u of tags each user interacted with (Eq. 11).
+    def tag_occurrences(self, indices: Optional[np.ndarray] = None,
+                        weights: Optional[np.ndarray] = None
+                        ) -> Tuple[np.ndarray, np.ndarray,
+                                   Optional[np.ndarray]]:
+        """The tag multisets T_u as flat ``(users, tags, weights)`` arrays.
 
-        Tags are counted once per interaction per carrying item, preserving
-        multiplicity, which Eq. 11's frequency term requires.
+        One entry per selected interaction and tag its item carries, in
+        interaction order, preserving the multiplicity Eq. 11's frequency
+        term requires.  ``weights`` (aligned with ``indices``) is repeated
+        onto each of its interaction's tags; ``None`` stays ``None``.
         """
-        per_user_items = self.items_of_user(indices)
-        out: Dict[int, np.ndarray] = {}
-        for u, items in per_user_items.items():
-            tag_arrays = self.tags_of_items(items)
-            if tag_arrays:
-                concat = np.concatenate(tag_arrays) if any(
-                    len(a) for a in tag_arrays) else np.zeros(0, np.int64)
-            else:
-                concat = np.zeros(0, dtype=np.int64)
-            out[u] = concat.astype(np.int64)
-        return out
+        selected = slice(None) if indices is None else np.asarray(
+            indices, dtype=np.int64)
+        users, items = self.user_ids[selected], self.item_ids[selected]
+        indptr = self.item_tags.indptr
+        starts = indptr[items].astype(np.int64)
+        lengths = indptr[items + 1] - starts
+        # Offset of each occurrence inside its item's CSR row.
+        offsets = (np.arange(lengths.sum(), dtype=np.int64)
+                   - np.repeat(np.cumsum(lengths) - lengths, lengths))
+        tags = self.item_tags.indices[np.repeat(starts, lengths) + offsets]
+        if weights is not None:
+            weights = np.repeat(np.asarray(weights, dtype=np.float64),
+                                lengths)
+        return (np.repeat(users, lengths), tags.astype(np.int64),
+                weights)
 
     # ------------------------------------------------------------------
     # Streaming ingest (online learning)

@@ -19,6 +19,21 @@ from repro.data.dataset import Split
 from repro.manifolds.maps import lorentz_to_poincare_np
 
 
+def _tag_types_per_user(dataset: InteractionDataset,
+                        split: Optional[Split]
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """Users with a (train) interaction, ascending, and the number of
+    distinct tags each one touched (0 for users of untagged items)."""
+    indices = split.train if split is not None else None
+    users, tags, _ = dataset.tag_occurrences(indices)
+    n_tags = dataset.item_tags.shape[1]
+    distinct = np.unique(users * n_tags + tags) // n_tags
+    types = np.bincount(distinct, minlength=dataset.n_users)
+    active = np.unique(dataset.user_ids if indices is None
+                       else dataset.user_ids[indices])
+    return active, types[active]
+
+
 def user_tag_type_distribution(dataset: InteractionDataset,
                                split: Optional[Split] = None) -> Dict:
     """Fig. 5(a): histogram of #distinct tag types per user.
@@ -27,10 +42,7 @@ def user_tag_type_distribution(dataset: InteractionDataset,
     "hist_edges"}``; the paper's observation is a mode around a moderate
     count with a long tail of diverse users.
     """
-    indices = split.train if split is not None else None
-    user_tags = dataset.user_tag_lists(indices)
-    counts = np.array([len(np.unique(tags)) for tags in
-                       user_tags.values()])
+    _, counts = _tag_types_per_user(dataset, split)
     values, edges = np.histogram(counts,
                                  bins=np.arange(0, counts.max() + 2))
     return {"tag_type_counts": counts, "hist_values": values,
@@ -46,10 +58,7 @@ def tag_types_vs_origin_distance(model: LogiRec,
     types (specific preferences) sit farther from the origin.  Returns the
     paired arrays plus the Spearman correlation capturing the trend.
     """
-    indices = split.train if split is not None else None
-    user_tags = dataset.user_tag_lists(indices)
-    users = np.array(sorted(user_tags))
-    tag_types = np.array([len(np.unique(user_tags[u])) for u in users])
+    users, tag_types = _tag_types_per_user(dataset, split)
     user_emb, _ = model.final_embeddings()
     if model.config.hyperbolic:
         distances = np.arccosh(np.maximum(user_emb[users, 0], 1.0))

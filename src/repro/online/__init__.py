@@ -11,8 +11,8 @@ to servable recommendation without a full retrain or a restart:
   the :class:`~repro.data.StreamError` invariants;
 * :mod:`repro.online.finetune` — warm-start incremental fine-tuning on
   the recency-weighted stream tail, growing embedding tables for
-  cold-start users/items with a tag prior, including the
-  recency-weighted variant of LogiRec++'s consistency weighting;
+  cold-start users/items with a tag prior; the tail split carries the
+  recency weights LogiRec++'s consistency weighting counts with;
 * :mod:`repro.online.swap` — versioned index export and the
   swap-under-load / degraded-mode drills;
 * :mod:`repro.online.loop` — :class:`OnlineLoop`, the filesystem-backed
@@ -23,9 +23,7 @@ from repro.online.events import (EventJournal, InteractionEvent,
                                  simulate_events)
 from repro.online.finetune import (incremental_finetune,
                                    recency_tail_split,
-                                   recency_weighted_consistency,
-                                   recency_weights, tag_prior_neighbors,
-                                   weighted_tag_frequencies)
+                                   recency_weights, tag_prior_neighbors)
 from repro.online.ingest import DUPLICATE_POLICIES, StreamIngestor
 from repro.online.loop import OnlineLoop
 from repro.online.swap import (export_online_index, full_split,
@@ -41,11 +39,9 @@ __all__ = [
     "full_split",
     "incremental_finetune",
     "recency_tail_split",
-    "recency_weighted_consistency",
     "recency_weights",
     "run_online_serve_drill",
     "run_swap_drill",
     "simulate_events",
     "tag_prior_neighbors",
-    "weighted_tag_frequencies",
 ]

@@ -11,26 +11,25 @@ Recency weighting appears twice:
 
 * the **tail split** (:func:`recency_tail_split`) restricts training to
   the newest ``tail_frac`` of interactions — the stream tail;
-* for LogiRec++, the data-driven consistency term CON_u (Eq. 12) is
-  recomputed with **recency-weighted tag frequencies**
-  (:func:`recency_weighted_consistency`): each interaction contributes
-  its exponential-decay weight ``0.5 ** (age / half_life)`` to the tag
-  counts of Eq. 11 instead of 1.  With all weights equal the weighted
-  TF reduces exactly to :func:`repro.core.weighting.tag_frequencies`,
-  so offline and online consistency agree on a static log.  GR_u
+* the split carries each tail interaction's exponential-decay weight
+  ``0.5 ** (age / half_life)`` (:func:`recency_weights`) as
+  ``Split.train_weights``.  LogiRec++'s ``prepare`` hands them to the
+  one Eq. 11/12 kernel, :func:`repro.core.weighting.consistency_weights`,
+  so CON_u is computed once per fine-tune from recency-weighted tag
+  counts; with unit weights it is the offline CON bit for bit.  GR_u
   (Eq. 13) needs no variant — it reads the *current* embedding, which
   the warm start carries forward.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro import obs
 from repro.data.dataset import InteractionDataset, Split
-from repro.taxonomy import LogicalRelations
 
 
 def recency_weights(timestamps: np.ndarray,
@@ -67,82 +66,6 @@ def recency_tail_split(dataset: InteractionDataset,
     n_tail = min(n, max(int(min_events), int(round(tail_frac * n))))
     empty = np.zeros(0, dtype=np.int64)
     return Split(train=order[n - n_tail:], valid=empty, test=empty)
-
-
-def weighted_tag_frequencies(tags: np.ndarray,
-                             weights: np.ndarray) -> Dict[int, float]:
-    """Recency-weighted Eq. 11: TF(t) = log(c_t + 1) / log(W_u).
-
-    ``tags`` is the user's tag multiset and ``weights`` the per-entry
-    recency weight (one per tag occurrence, inherited from the carrying
-    interaction).  ``c_t`` is the weighted count of tag ``t`` and
-    ``W_u`` the weighted multiset size; with unit weights this is
-    bit-for-bit :func:`repro.core.weighting.tag_frequencies`.
-    """
-    total = float(np.sum(weights))
-    if len(tags) <= 1 or total <= 1.0:
-        # Mirrors the |T_u| <= 1 degenerate case of the unweighted TF:
-        # too little (effective) evidence to assert any exclusion.
-        return {}
-    denom = np.log(total)
-    out: Dict[int, float] = {}
-    unique = np.unique(tags)
-    for t in unique:
-        c = float(np.sum(weights[tags == t]))
-        out[int(t)] = float(np.log(c + 1.0) / denom)
-    return out
-
-
-def recency_weighted_consistency(dataset: InteractionDataset,
-                                 indices: np.ndarray,
-                                 weights: np.ndarray,
-                                 eta: int = 4) -> np.ndarray:
-    """Eq. 12 CON_u with recency-weighted tag frequencies.
-
-    ``indices`` selects the interactions in play (the stream tail) and
-    ``weights`` is the aligned per-interaction recency weight.  The
-    exclusive-pair penalty and level factor ``exp(eta - k)`` are
-    unchanged from :func:`repro.core.weighting.consistency_weights`;
-    only the TF inputs decay with age, so a user whose conflicting
-    interests are all stale drifts back toward CON = 1.
-    """
-    indices = np.asarray(indices, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if len(indices) != len(weights):
-        raise ValueError("indices and weights must align")
-    relations: LogicalRelations = dataset.relations
-    con = np.ones(dataset.n_users, dtype=np.float64)
-    if len(relations.exclusion) == 0 or len(indices) == 0:
-        return con
-    pairs = relations.exclusion
-    levels = (relations.exclusion_levels
-              if len(relations.exclusion_levels) == len(pairs)
-              else np.full(len(pairs), eta, dtype=np.int64))
-    level_factor = np.exp(eta - levels.astype(np.float64))
-
-    users = dataset.user_ids[indices]
-    items = dataset.item_ids[indices]
-    per_item_tags = dataset.tags_of_items(items)
-    # Expand to one (tag, weight) entry per tag occurrence per
-    # interaction — the weighted analogue of user_tag_lists.
-    by_user: Dict[int, list] = {}
-    for u, tags, w in zip(users, per_item_tags, weights):
-        if len(tags):
-            by_user.setdefault(int(u), []).append(
-                (tags.astype(np.int64), np.full(len(tags), w)))
-    for u, chunks in by_user.items():
-        tags = np.concatenate([c[0] for c in chunks])
-        tag_w = np.concatenate([c[1] for c in chunks])
-        tf = weighted_tag_frequencies(tags, tag_w)
-        if not tf:
-            continue
-        present = set(tf)
-        penalty = 0.0
-        for (t_i, t_j), factor in zip(pairs, level_factor):
-            if int(t_i) in present and int(t_j) in present:
-                penalty += tf[int(t_i)] * tf[int(t_j)] * factor
-        con[u] = np.exp(-penalty)
-    return con
 
 
 def tag_prior_neighbors(dataset: InteractionDataset, old_n_items: int,
@@ -192,10 +115,12 @@ def incremental_finetune(checkpoint_dir, dataset: InteractionDataset, *,
     stale optimizer state).  Returns ``{"model", "growth", "split",
     ...}``; ``save_to`` writes the fine-tuned checkpoint.
 
-    ``half_life`` defaults to a quarter of the tail's time span — fresh
-    events dominate without zeroing out the back of the tail.
+    The tail split carries the recency weights as ``train_weights``;
+    LogiRec++'s ``prepare`` computes CON_u from them (other models
+    ignore them).  ``half_life`` defaults to a quarter of the tail's
+    time span — fresh events dominate without zeroing out the back of
+    the tail.
     """
-    from repro.core.logirec_pp import LogiRecPP
     from repro.serve.checkpoint import load_checkpoint, save_checkpoint
 
     model = load_checkpoint(checkpoint_dir)
@@ -209,28 +134,13 @@ def incremental_finetune(checkpoint_dir, dataset: InteractionDataset, *,
     if half_life is None:
         span = float(tail_t.max() - tail_t.min()) if len(tail_t) else 0.0
         half_life = max(1.0, span / 4.0)
-    weights = recency_weights(tail_t, half_life)
+    split = replace(split,
+                    train_weights=recency_weights(tail_t, half_life))
 
     model.config.epochs = int(epochs)
-    if isinstance(model, LogiRecPP):
-        # fit() calls prepare(), which recomputes CON from the split the
-        # offline way; shadow it per instance so the online CON uses the
-        # recency-weighted TF, then refresh alpha as usual.
-        base_prepare = model.prepare
-
-        def _prepare_with_recency(ds, sp):
-            base_prepare(ds, sp)
-            model._con = recency_weighted_consistency(
-                ds, sp.train, weights, eta=model.config.eta)
-            model._refresh_alpha()
-
-        model.prepare = _prepare_with_recency
-
     with obs.trace("online/finetune", model=type(model).__name__,
                    epochs=int(epochs), tail=len(split.train)):
         model.fit(dataset, split, supervisor=supervisor)
-    if isinstance(model, LogiRecPP):
-        del model.prepare  # restore the class method
 
     record: Dict[str, object] = {
         "model": model,

@@ -1,0 +1,9 @@
+"""Shared hypothesis settings profiles."""
+
+from hypothesis import HealthCheck, settings
+
+# Numeric kernels over generated arrays: no per-example deadline (a
+# cold numpy import or a slow CI box must not fail a property), and the
+# example budget of the repo's other property tests.
+STANDARD_SETTINGS = settings(max_examples=100, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow])

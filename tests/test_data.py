@@ -73,11 +73,33 @@ class TestInteractionDataset:
         np.testing.assert_array_equal(tags[0], [1])
         np.testing.assert_array_equal(tags[1], [0])
 
-    def test_user_tag_lists_multiplicity(self):
+    def test_tag_occurrences_multiplicity(self):
         ds = _tiny_dataset()
-        lists = ds.user_tag_lists()
+        users, tags, weights = ds.tag_occurrences()
         # user 0 touched items 0 (tag 1), 1 (tag 2), 2 (tag 1).
-        np.testing.assert_array_equal(np.sort(lists[0]), [1, 1, 2])
+        np.testing.assert_array_equal(np.sort(tags[users == 0]), [1, 1, 2])
+        assert weights is None
+
+    def test_split_train_weights_align_with_train(self):
+        with pytest.raises(ValueError, match="align"):
+            Split(train=[0, 1], valid=[], test=[], train_weights=[1.0])
+
+    def test_tag_occurrences_expand_each_interaction(self):
+        """One entry per carried tag, in interaction order, with the
+        interaction's weight repeated onto each of its tags."""
+        ds = generate_dataset(SyntheticConfig(n_users=30, n_items=40,
+                                              seed=3))
+        indices = np.array([7, 2, 2, 11, 0, 5])
+        weights = np.array([0.5, 1.0, 2.0, 0.25, 3.0, 4.0])
+        users, tags, occ_weights = ds.tag_occurrences(indices, weights)
+        per_item = ds.tags_of_items(ds.item_ids[indices])
+        assert max(len(t) for t in per_item) > 1
+        np.testing.assert_array_equal(tags, np.concatenate(per_item))
+        lengths = [len(t) for t in per_item]
+        np.testing.assert_array_equal(
+            users, np.repeat(ds.user_ids[indices], lengths))
+        np.testing.assert_array_equal(occ_weights,
+                                      np.repeat(weights, lengths))
 
     def test_statistics_shape(self):
         stats = _tiny_dataset().statistics()

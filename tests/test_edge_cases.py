@@ -61,7 +61,8 @@ class TestDegenerateData:
         q = sp.csr_matrix(np.ones((4, 2)))
         rel = extract_relations(taxonomy, q)
         assert rel.counts["n_exclusion"] == 0
-        con = consistency_weights({0: np.array([0, 1])}, rel, 1)
+        con = consistency_weights(np.zeros(2, dtype=np.int64),
+                                  np.array([0, 1]), rel, 1)
         np.testing.assert_allclose(con, 1.0)
 
     def test_logirec_with_no_relations(self):

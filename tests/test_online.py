@@ -33,11 +33,11 @@ from repro.experiments.runner import build_model
 from repro.online import (EventJournal, InteractionEvent, OnlineLoop,
                           StreamIngestor, export_online_index,
                           full_split, incremental_finetune,
-                          recency_tail_split, recency_weighted_consistency,
-                          recency_weights, simulate_events,
-                          tag_prior_neighbors, weighted_tag_frequencies)
+                          recency_tail_split, recency_weights,
+                          simulate_events, tag_prior_neighbors)
 from repro.serve import (RecommendService, ServiceConfig, build_index,
                          save_checkpoint)
+from repro.taxonomy import LogicalRelations
 
 
 @pytest.fixture()
@@ -294,31 +294,43 @@ class TestRecencyWeighting:
         assert dataset.timestamps[rest].max() <= tail_min
         assert len(split.valid) == len(split.test) == 0
 
+    @staticmethod
+    def _consistency(dataset, indices, weights=None):
+        users, tags, occ_weights = dataset.tag_occurrences(indices, weights)
+        return consistency_weights(users, tags, dataset.relations,
+                                   dataset.n_users, weights=occ_weights)
+
     def test_unit_weights_reduce_to_offline_consistency(self, dataset):
         """With all weights 1, the online CON_u equals Eq. 12 exactly."""
         indices = np.arange(dataset.n_interactions, dtype=np.int64)
-        online = recency_weighted_consistency(
-            dataset, indices, np.ones(len(indices)))
-        offline = consistency_weights(dataset.user_tag_lists(indices),
-                                      dataset.relations, dataset.n_users)
-        assert np.allclose(online, offline, atol=0.0)
+        online = self._consistency(dataset, indices, np.ones(len(indices)))
+        offline = self._consistency(dataset, indices)
+        assert (offline < 1.0).any()  # some user holds an exclusion
+        assert online.tobytes() == offline.tobytes()
 
     def test_stale_conflicts_decay_toward_one(self, dataset):
         """CON_u under heavy decay is >= CON_u with full weights."""
         indices = np.arange(dataset.n_interactions, dtype=np.int64)
-        full = recency_weighted_consistency(dataset, indices,
-                                            np.ones(len(indices)))
-        decayed = recency_weighted_consistency(
+        full = self._consistency(dataset, indices, np.ones(len(indices)))
+        decayed = self._consistency(
             dataset, indices,
             recency_weights(dataset.timestamps[indices], half_life=0.5))
         assert np.all(decayed >= full - 1e-12)
 
     def test_weighted_tf_degenerate_cases(self):
-        assert weighted_tag_frequencies(np.array([3]),
-                                        np.array([1.0])) == {}
+        relations = LogicalRelations(
+            membership=np.zeros((0, 2), dtype=np.int64),
+            hierarchy=np.zeros((0, 2), dtype=np.int64),
+            exclusion=np.array([[3, 4]]),
+            exclusion_levels=np.array([2]))
+        users = np.zeros(2, dtype=np.int64)
+        tags = np.array([3, 4])
+        assert consistency_weights(users, tags, relations, 1)[0] < 1.0
+        assert consistency_weights(users[:1], tags[:1], relations, 1,
+                                   weights=np.array([1.0]))[0] == 1.0
         # Effective evidence below one tag occurrence: no assertions.
-        assert weighted_tag_frequencies(np.array([3, 4]),
-                                        np.array([0.1, 0.1])) == {}
+        assert consistency_weights(users, tags, relations, 1,
+                                   weights=np.array([0.1, 0.1]))[0] == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -387,6 +399,42 @@ class TestIncrementalFinetune:
             np.arange(dataset.n_users - 2, dataset.n_users))
         assert cold_scores.shape == (2, dataset.n_items)
         assert np.all(np.isfinite(cold_scores))
+
+    def test_logirec_pp_computes_consistency_once(self, dataset, tmp_path,
+                                                  monkeypatch):
+        """One Eq. 11/12 pass per fine-tune, from the recency-weighted
+        tail the split carries, and no per-instance ``prepare``."""
+        import repro.core.logirec_pp as logirec_pp
+
+        split = temporal_split(dataset)
+        model = build_model("LogiRec++", dataset, seed=0)
+        model.config.epochs = 1
+        model.fit(dataset, split)
+        save_checkpoint(model, tmp_path / "ck", dataset=dataset)
+        self._grow(dataset)
+
+        calls = []
+        kernel = logirec_pp.consistency_weights
+
+        def counting(*args, **kwargs):
+            con = kernel(*args, **kwargs)
+            calls.append((kwargs.get("weights"), con))
+            return con
+
+        monkeypatch.setattr(logirec_pp, "consistency_weights", counting)
+        record = incremental_finetune(tmp_path / "ck", dataset, epochs=2,
+                                      tail_frac=0.5)
+        assert len(calls) == 1
+        assert "prepare" not in vars(record["model"])
+        tail = record["split"]
+        np.testing.assert_array_equal(
+            tail.train_weights,
+            recency_weights(dataset.timestamps[tail.train],
+                            record["half_life"]))
+        weights, con = calls[0]
+        assert weights is not None and weights.min() < 1.0
+        assert record["model"].user_weights()["con"].tobytes() \
+            == con.tobytes()
 
     def test_finetune_requires_positive_tail(self, dataset):
         with pytest.raises(ValueError, match="tail_frac"):
