@@ -7,8 +7,10 @@
 #              (score_rows in repro/manifolds/scoring.py), no Eq. 12
 #              level weighting ("exclusion_levels" or "exp(eta")
 #              outside taxonomy/ and the one consistency kernel in
-#              core/weighting.py, and no assignment to an instance's
-#              .prepare; benchmarks/ must collect and every
+#              core/weighting.py, no assignment to an instance's
+#              .prepare, and no FrontendConfig/ServiceConfig field
+#              that src/repro never reads outside its defining module;
+#              benchmarks/ must collect and every
 #              examples/*.py must import, because the tier-1 tests
 #              import neither and a deleted library name they still
 #              use would otherwise pass;
@@ -109,6 +111,45 @@ if [ -n "$violations" ]; then
     echo "$violations"
     exit 1
 fi
+echo "ok"
+
+echo "== lint: every serving config field is read somewhere =="
+python - <<'EOF'
+import ast
+import pathlib
+import sys
+
+# A field is read when some module other than its own loads it from an
+# object named config or service (self.config.k, config.service, ...).
+DEFINED = {"FrontendConfig": "src/repro/serve/frontend/config.py",
+           "ServiceConfig": "src/repro/serve/config.py"}
+reads = {}
+for path in pathlib.Path("src/repro").rglob("*.py"):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)):
+            continue
+        owner = node.value
+        owner = owner.attr if isinstance(owner, ast.Attribute) \
+            else getattr(owner, "id", None)
+        if owner in ("config", "service"):
+            reads.setdefault(node.attr, set()).add(str(path))
+unread = []
+for cls, module in DEFINED.items():
+    tree = ast.parse(pathlib.Path(module).read_text())
+    body = next(n for n in tree.body
+                if isinstance(n, ast.ClassDef) and n.name == cls).body
+    for stmt in body:
+        if isinstance(stmt, ast.AnnAssign):
+            name = stmt.target.id
+            if not reads.get(name, set()) - {module}:
+                unread.append(f"{cls}.{name} ({module})")
+if unread:
+    print("config field never read in src/repro outside its defining "
+          "module (delete it, or make it a module constant):")
+    print("\n".join(unread))
+    sys.exit(1)
+EOF
 echo "ok"
 
 echo "== benchmarks collect, examples import =="

@@ -9,7 +9,7 @@ a drill, a test, and the CLI without re-spelling knobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.robust.policies import BreakerPolicy, RetryPolicy
 
@@ -68,7 +68,3 @@ class ServiceConfig:
             raise ValueError(
                 f"unknown fallback mode {self.fallback!r}; "
                 f"known: {list(FALLBACK_MODES)}")
-
-    def with_overrides(self, **overrides) -> "ServiceConfig":
-        """A copy with the given fields replaced (validation re-runs)."""
-        return replace(self, **overrides)

@@ -4,18 +4,31 @@
 ServingFrontend` what :class:`~repro.serve.ServiceConfig` is to the
 in-process engine: one frozen dataclass holding every knob the
 front-end is allowed to decide per deployment — worker count, admission
-bounds, deadline defaults, micro-batch shape, and supervisor timing.
-The nested :class:`ServiceConfig` is handed verbatim to every worker's
-engine, so per-worker behaviour (retries, breaker, cache, fallback)
-stays declared in one place.
+bounds, deadline defaults, and stall detection.  The nested
+:class:`ServiceConfig` is handed verbatim to every worker's engine, so
+per-worker behaviour (retries, breaker, cache, fallback) stays declared
+in one place.
+
+Batching is not a knob: the dispatcher sends each shard what has been
+admitted as soon as it wakes, and a worker coalesces whatever queued up
+behind it while it was busy, up to :data:`MAX_BATCH` requests per
+engine call.  An idle fleet therefore answers at once and a loaded one
+batches by itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.serve.config import ServiceConfig
+
+# Requests per dispatched message and per worker engine call.
+MAX_BATCH = 64
+
+# Idle worker heartbeat period (busy workers heartbeat via their
+# result messages).
+HEARTBEAT_INTERVAL_S = 0.1
 
 
 @dataclass(frozen=True)
@@ -42,26 +55,13 @@ class FrontendConfig:
         Deadline attached to requests that do not carry their own;
         ``None`` means no deadline.  The deadline propagates from
         admission through queue wait into worker scoring.
-    batch_window_ms:
-        How long the dispatcher waits for concurrent arrivals to
-        coalesce into one per-shard micro-batch.
-    max_batch:
-        Micro-batch ceiling per dispatch per shard.
-    heartbeat_interval_s:
-        Worker heartbeat period while idle (busy workers heartbeat via
-        their result messages).
     stall_after_s:
         A worker whose last heartbeat is older than this is declared
         stalled, killed, and restarted.  Must comfortably exceed
-        ``heartbeat_interval_s`` plus the longest legitimate batch.
-    health_check_interval_s:
-        Supervisor poll period for crash/stall detection.
+        :data:`HEARTBEAT_INTERVAL_S` plus the longest legitimate batch.
     start_timeout_s:
         How long to wait for every worker's first heartbeat at startup
         (and for a replacement worker to warm up) before giving up.
-    drain_timeout_s:
-        Graceful-drain budget: how long :meth:`ServingFrontend.drain`
-        waits for in-flight requests before force-stopping.
     telemetry:
         Record front-end counters/histograms/trace events through
         :mod:`repro.obs` when a run is active.  Fault drills that would
@@ -74,13 +74,8 @@ class FrontendConfig:
     max_queue_depth: int = 256
     wait_budget_ms: Optional[float] = None
     default_deadline_ms: Optional[float] = 250.0
-    batch_window_ms: float = 2.0
-    max_batch: int = 64
-    heartbeat_interval_s: float = 0.1
     stall_after_s: float = 2.0
-    health_check_interval_s: float = 0.1
     start_timeout_s: float = 30.0
-    drain_timeout_s: float = 10.0
     telemetry: bool = True
 
     def __post_init__(self):
@@ -98,24 +93,11 @@ class FrontendConfig:
             raise ValueError(
                 f"default_deadline_ms must be positive or None, "
                 f"got {self.default_deadline_ms}")
-        if self.batch_window_ms < 0:
-            raise ValueError(f"batch_window_ms must be >= 0, "
-                             f"got {self.batch_window_ms}")
-        if self.max_batch <= 0:
+        if self.start_timeout_s <= 0:
+            raise ValueError(f"start_timeout_s must be positive, "
+                             f"got {self.start_timeout_s}")
+        if self.stall_after_s <= HEARTBEAT_INTERVAL_S:
             raise ValueError(
-                f"max_batch must be positive, got {self.max_batch}")
-        for name in ("heartbeat_interval_s", "stall_after_s",
-                     "health_check_interval_s", "start_timeout_s",
-                     "drain_timeout_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, "
-                                 f"got {getattr(self, name)}")
-        if self.stall_after_s <= self.heartbeat_interval_s:
-            raise ValueError(
-                f"stall_after_s ({self.stall_after_s}) must exceed "
-                f"heartbeat_interval_s ({self.heartbeat_interval_s}); "
-                f"healthy idle workers would look stalled")
-
-    def with_overrides(self, **overrides) -> "FrontendConfig":
-        """A copy with the given fields replaced (validation re-runs)."""
-        return replace(self, **overrides)
+                f"stall_after_s ({self.stall_after_s}) must exceed the "
+                f"heartbeat interval ({HEARTBEAT_INTERVAL_S}); healthy "
+                f"idle workers would look stalled")

@@ -17,11 +17,17 @@ The robustness contract, end to end:
   *shed*: resolved immediately with ``status="shed"`` (HTTP 429) and
   counted in ``shed_requests``.  Overload degrades throughput, never
   latency of the admitted or the stability of the process.
+* **Immediate dispatch.**  The dispatcher thread wakes on each
+  admission and sends every shard what has been admitted so far, in
+  chunks of at most :data:`~repro.serve.frontend.config.MAX_BATCH`.
+  There is no batch window: batching happens in the worker's queue,
+  which coalesces whatever piled up behind a busy worker.
 * **Deadline propagation.**  Each admitted request carries an absolute
   ``time.monotonic()`` deadline from the edge.  The dispatcher drops
-  requests that expire waiting for a batch window; the worker drops
-  ones that expire in the inter-process queue (both without scoring);
-  the engine's retry loop observes the same deadline mid-scoring.
+  requests that expired before dispatch (e.g. held by an index swap);
+  the worker drops ones that expire in the inter-process queue (both
+  without scoring); the engine's retry loop observes the same deadline
+  mid-scoring.
 * **Supervised workers.**  Crashed or stalled workers are restarted;
   their in-flight requests fail over to the popularity fallback
   (``degraded=True``, never an error), and while a replacement warms
@@ -49,7 +55,7 @@ from typing import Dict, List, Optional
 from repro import obs
 from repro.robust.faults import FaultPlan
 from repro.serve.engine import popularity_items
-from repro.serve.frontend.config import FrontendConfig
+from repro.serve.frontend.config import MAX_BATCH, FrontendConfig
 from repro.serve.frontend.sharding import create_shards
 from repro.serve.frontend.supervisor import WorkerSupervisor
 from repro.serve.frontend.worker import BYE, HEARTBEAT, RESULT
@@ -61,6 +67,13 @@ LOG = obs.get_logger(__name__)
 # trigger): ~10 samples of memory — reacts within a few batches without
 # flapping on one slow request.
 _EWMA_ALPHA = 0.2
+
+# Supervisor poll period for crash/stall detection.
+HEALTH_CHECK_INTERVAL_S = 0.1
+
+# Default budget for draining in-flight requests, on shutdown and in the
+# pause window of an index swap, before stragglers fall back.
+DRAIN_TIMEOUT_S = 10.0
 
 
 class PendingRequest:
@@ -134,7 +147,6 @@ class ServingFrontend:
         self._admitted: List[PendingRequest] = []   # awaiting dispatch
         self._admit_cv = threading.Condition(self._lock)
         self._req_ids = itertools.count()
-        self._batch_ids = itertools.count()
         self._ewma_wait_ms = 0.0
         self._started = False
         self._draining = False
@@ -194,7 +206,7 @@ class ServingFrontend:
         Returns how many in-flight requests were still resolved during
         the drain.  Requests arriving after drain starts get
         ``status="draining"`` (HTTP 503).  In-flight requests that the
-        workers cannot answer within ``drain_timeout_s`` are resolved
+        workers cannot answer within :data:`DRAIN_TIMEOUT_S` are resolved
         from the degraded fallback — drained, never dropped.
         """
         with self._lock:
@@ -204,8 +216,7 @@ class ServingFrontend:
                 self._draining = True
                 in_flight = len(self._pending)
                 self._admit_cv.notify_all()
-        budget = self.config.drain_timeout_s if timeout is None \
-            else timeout
+        budget = DRAIN_TIMEOUT_S if timeout is None else timeout
         deadline = time.monotonic() + budget
         while time.monotonic() < deadline:
             with self._lock:
@@ -249,9 +260,7 @@ class ServingFrontend:
     # ------------------------------------------------------------------
     # Hot swap (online learning)
     # ------------------------------------------------------------------
-    def swap_index(self, new_index: RetrievalIndex, *,
-                   drain_timeout_s: Optional[float] = None
-                   ) -> Dict[str, object]:
+    def swap_index(self, new_index: RetrievalIndex) -> Dict[str, object]:
         """Replace the served index with zero dropped requests.
 
         The protocol, in order:
@@ -266,7 +275,7 @@ class ServingFrontend:
         2. **Pause + drain.**  The dispatcher stops handing batches to
            workers (``submit`` stays open — arrivals queue up) and the
            in-flight requests on the old fleet drain through the old
-           response pump.  Stragglers past ``drain_timeout_s`` resolve
+           response pump.  Stragglers past :data:`DRAIN_TIMEOUT_S` resolve
            from the degraded fallback — allowed in the swap window,
            never dropped.
         3. **Cutover.**  Under the lock, supervisor / arena / response
@@ -308,9 +317,7 @@ class ServingFrontend:
             # Phase 2: pause dispatch, drain in-flight on the old fleet.
             with self._lock:
                 self._swap_pausing = True
-            budget = self.config.drain_timeout_s \
-                if drain_timeout_s is None else drain_timeout_s
-            deadline = time.monotonic() + budget
+            deadline = time.monotonic() + DRAIN_TIMEOUT_S
             while time.monotonic() < deadline:
                 with self._lock:
                     if not any(p.worker_id is not None
@@ -396,8 +403,8 @@ class ServingFrontend:
                     supervisor.note_alive(worker_id, generation,
                                           handled, stats, breaker)
                 elif tag == RESULT:
-                    (_, worker_id, generation, _, _, _, stats,
-                     breaker) = message
+                    _, worker_id, generation, _, _, stats, breaker = \
+                        message
                     supervisor.note_alive(worker_id, generation,
                                           stats.get("requests", 0),
                                           stats, breaker)
@@ -579,7 +586,6 @@ class ServingFrontend:
     # Dispatcher thread
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
-        window = self.config.batch_window_ms / 1e3
         while True:
             with self._admit_cv:
                 # A swap in its pause window holds dispatch entirely:
@@ -590,9 +596,6 @@ class ServingFrontend:
                     self._admit_cv.wait(timeout=0.1)
                 if self._stopping:
                     return
-            if window > 0:
-                time.sleep(window)   # let concurrent arrivals coalesce
-            with self._lock:
                 batch, self._admitted = self._admitted, []
                 now = time.monotonic()
                 by_shard: Dict[int, List[PendingRequest]] = {}
@@ -609,9 +612,8 @@ class ServingFrontend:
                 plans = []   # (handle|None, shard chunk) built under lock
                 for shard_id, group in by_shard.items():
                     handle = self.supervisor.route(shard_id)
-                    for start in range(0, len(group),
-                                       self.config.max_batch):
-                        chunk = group[start:start + self.config.max_batch]
+                    for start in range(0, len(group), MAX_BATCH):
+                        chunk = group[start:start + MAX_BATCH]
                         if handle is None:
                             # Shard down (worker restarting): serve the
                             # whole chunk degraded from the parent.
@@ -626,9 +628,8 @@ class ServingFrontend:
                             pending.generation = handle.generation
                         plans.append((handle, chunk))
             for handle, chunk in plans:
-                message = (next(self._batch_ids),
-                           [(p.req_id, p.user_id, p.k, p.deadline,
-                             p.t_admit) for p in chunk])
+                message = [(p.req_id, p.user_id, p.k, p.deadline,
+                            p.t_admit) for p in chunk]
                 try:
                     handle.request_queue.put(message)
                 except Exception:
@@ -655,7 +656,7 @@ class ServingFrontend:
                 self.supervisor.note_alive(worker_id, generation,
                                            handled, stats, breaker)
             elif tag == RESULT:
-                (_, worker_id, generation, _, t_start, entries, stats,
+                (_, worker_id, generation, t_start, entries, stats,
                  breaker) = message
                 self.supervisor.note_alive(worker_id, generation,
                                            stats.get("requests", 0),
@@ -685,7 +686,7 @@ class ServingFrontend:
     # ------------------------------------------------------------------
     def _monitor_loop(self) -> None:
         while not self._stopping:
-            time.sleep(self.config.health_check_interval_s)
+            time.sleep(HEALTH_CHECK_INTERVAL_S)
             if self._stopping:
                 return
             try:
@@ -709,7 +710,6 @@ class ServingFrontend:
                 "max_queue_depth": self.config.max_queue_depth,
                 "wait_budget_ms": self.config.wait_budget_ms,
                 "default_deadline_ms": self.config.default_deadline_ms,
-                "max_batch": self.config.max_batch,
             },
             "draining": draining,
             "queue_depth": depth,

@@ -4,8 +4,9 @@
 implementation over :func:`asyncio.start_server` — no framework, no
 dependency — that turns concurrent GET requests into
 :meth:`~repro.serve.frontend.core.ServingFrontend.submit` calls.  The
-front-end's dispatcher micro-batches whatever arrives concurrently, so
-HTTP concurrency and batched scoring compose without the edge knowing.
+front-end dispatches each admitted request at once, and a busy worker
+scores whatever queued up behind it as one batch, so HTTP concurrency
+and batched scoring compose without the edge knowing.
 
 Routes
 ------
@@ -38,7 +39,7 @@ import urllib.request
 from typing import Dict, Optional, Tuple
 
 from repro import obs
-from repro.serve.frontend.core import ServingFrontend
+from repro.serve.frontend.core import DRAIN_TIMEOUT_S, ServingFrontend
 
 LOG = obs.get_logger(__name__)
 
@@ -95,9 +96,8 @@ class HttpFrontendServer:
         await self._server.wait_closed()
         # Let in-flight HTTP exchanges write their responses.
         try:
-            await asyncio.wait_for(
-                self._idle.wait(),
-                timeout=self.frontend.config.drain_timeout_s)
+            await asyncio.wait_for(self._idle.wait(),
+                                   timeout=DRAIN_TIMEOUT_S)
         except asyncio.TimeoutError:  # pragma: no cover - slow client
             LOG.warning("drain: active connections outlived the "
                         "timeout; continuing shutdown")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import wait as wait_futures
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -167,7 +167,6 @@ def _bench_config(n_workers: int, capacity_qps: float, k: int,
         service=ServiceConfig(k=k, cache_size=0),
         max_queue_depth=depth,
         default_deadline_ms=_BENCH_DEADLINE_MS,
-        batch_window_ms=1.0,
         telemetry=telemetry)
 
 
@@ -177,15 +176,9 @@ def run_frontend_benchmark(index: RetrievalIndex, n_workers: int = 2,
                            capacity_duration_s: float = 1.0,
                            level_duration_s: float = 1.5,
                            drill_duration_s: float = 2.0,
-                           kill_drill: bool = True,
-                           faults: Optional[FaultPlan] = None
+                           kill_drill: bool = True
                            ) -> Dict[str, object]:
-    """The overload + kill drill; returns the BENCH ``frontend`` dict.
-
-    ``faults`` overrides the default kill-drill plan (the CLI's
-    ``robust inject serve --frontend`` path reuses this with stall and
-    slow-shard plans).
-    """
+    """The overload + kill drill; returns the BENCH ``frontend`` dict."""
     rng = np.random.default_rng(seed)
     users = rng.integers(0, index.n_users,
                          size=min(n_probe_users, index.n_users))
@@ -235,14 +228,11 @@ def run_frontend_benchmark(index: RetrievalIndex, n_workers: int = 2,
         requests=completed, degraded=degraded))
 
     if kill_drill:
-        plan = faults
-        if plan is None:
-            # Kill worker 0 early in the drill window: roughly 5% of
-            # the drill's offered traffic, at least a handful.
-            after = max(5, int(0.05 * capacity * drill_duration_s / 2))
-            plan = FaultPlan([FaultSpec("worker_kill",
-                                        after_requests=after)],
-                             seed=seed)
+        # Kill worker 0 early in the drill window: roughly 5% of the
+        # drill's offered traffic, at least a handful.
+        after = max(5, int(0.05 * capacity * drill_duration_s / 2))
+        plan = FaultPlan([FaultSpec("worker_kill", after_requests=after)],
+                         seed=seed)
         drill_config = _bench_config(n_workers, capacity, k,
                                      telemetry=False)
         with ServingFrontend(index, drill_config,

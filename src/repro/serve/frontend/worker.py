@@ -4,18 +4,25 @@ Each worker owns one user-range shard: it attaches the shard's
 shared-memory tables zero-copy (:func:`~repro.serve.frontend.sharding.
 attach_shard`), builds a plain in-process
 :class:`~repro.serve.RecommendService` over the local view, and serves
-micro-batches from its request queue.  All the per-request semantics —
-retry/deadline guards, circuit breaker, LRU cache, fallback ranking —
-are the engine's, unchanged; this module only adds the process shell:
+its request queue.  All the per-request semantics — retry/deadline
+guards, circuit breaker, LRU cache, fallback ranking — are the
+engine's, unchanged; this module only adds the process shell:
 
+* **coalescing** — after each blocking ``get`` the worker drains the
+  messages already queued behind it with ``get_nowait``, stopping once
+  it holds :data:`~repro.serve.frontend.config.MAX_BATCH` requests.  It
+  scores them as one ``query_batch`` per ``k`` and answers them in one
+  RESULT.  An idle worker thus serves each request as it arrives; a
+  busy one batches exactly what piled up while it was busy.
 * **id translation** — requests carry global user ids; the worker
   subtracts its shard's ``lo`` at the boundary and adds it back in
   responses, so the engine sees a dense local universe.
 * **heartbeats** — while idle the worker emits a heartbeat every
-  ``heartbeat_interval_s`` carrying its engine stats and breaker
-  snapshot; result messages carry the same payload, so a busy worker
-  is never mistaken for a stalled one and the supervisor's per-shard
-  health view is always one message old at worst.
+  :data:`~repro.serve.frontend.config.HEARTBEAT_INTERVAL_S` carrying
+  its engine stats and breaker snapshot; result messages carry the
+  same payload, so a busy worker is never mistaken for a stalled one
+  and the supervisor's per-shard health view is always one message
+  old at worst.
 * **deadline pre-shed** — a request whose absolute deadline expired
   while sitting in the inter-process queue is answered ``"shed"``
   without touching the engine (no scoring, no breaker feed); the
@@ -44,7 +51,8 @@ import numpy as np
 
 from repro.robust.faults import FaultPlan, FaultSpec
 from repro.serve.engine import RecommendService
-from repro.serve.frontend.config import FrontendConfig
+from repro.serve.frontend.config import (HEARTBEAT_INTERVAL_S, MAX_BATCH,
+                                         FrontendConfig)
 from repro.serve.frontend.sharding import ShardLayout, attach_shard
 
 # Queue message tags (worker → parent).
@@ -150,12 +158,14 @@ def worker_main(worker_id: int, generation: int, layout: ShardLayout,
                 faults: Optional[FaultPlan] = None) -> None:
     """Run one shard worker until the shutdown sentinel (fork target).
 
-    Request messages are ``(batch_id, requests)`` with each request a
-    ``(req_id, user_id, k, deadline, t_admit)`` tuple (global user id;
-    ``deadline``/``t_admit`` in ``time.monotonic()`` seconds, deadline
-    may be None).  Responses are tagged tuples — see the module
-    constants — and every response carries ``generation`` so the parent
-    can drop messages from a worker it has already replaced.
+    A request message is a list of ``(req_id, user_id, k, deadline,
+    t_admit)`` tuples (global user id; ``deadline``/``t_admit`` in
+    ``time.monotonic()`` seconds, deadline may be None).  Responses are
+    tagged tuples — see the module constants — and every response
+    carries ``generation`` so the parent can drop messages from a
+    worker it has already replaced.  A RESULT is ``(RESULT, worker_id,
+    generation, t_start, entries, stats, breaker)`` where ``entries``
+    pairs each ``req_id`` with its engine response or a shed reason.
     """
     _quiesce_observability()
     shard = attach_shard(layout, shard_id)
@@ -173,16 +183,27 @@ def worker_main(worker_id: int, generation: int, layout: ShardLayout,
 
     try:
         _heartbeat()  # "ready": releases the supervisor's start wait
-        while True:
+        shutdown = False
+        while not shutdown:
             try:
-                message = request_queue.get(
-                    timeout=config.heartbeat_interval_s)
+                message = request_queue.get(timeout=HEARTBEAT_INTERVAL_S)
             except queue.Empty:
                 _heartbeat()
                 continue
             if message is SHUTDOWN:
                 break
-            batch_id, requests = message
+            requests = message
+            # Coalesce what queued up behind this worker while it was
+            # busy; a sentinel found here ends the loop after the reply.
+            while len(requests) < MAX_BATCH:
+                try:
+                    message = request_queue.get_nowait()
+                except queue.Empty:
+                    break
+                if message is SHUTDOWN:
+                    shutdown = True
+                    break
+                requests.extend(message)
             t_start = time.monotonic()  # queue wait ends here
             handled += len(requests)
             if fault_state.kill_due(handled):
@@ -222,8 +243,8 @@ def worker_main(worker_id: int, generation: int, layout: ShardLayout,
                     result["user_id"] = uid  # back to the global id
                     entries.append((req_id, result))
             stats, breaker = _payload()
-            response_queue.put((RESULT, worker_id, generation, batch_id,
-                                t_start, entries, stats, breaker))
+            response_queue.put((RESULT, worker_id, generation, t_start,
+                                entries, stats, breaker))
     finally:
         try:
             response_queue.put((BYE, worker_id, generation))

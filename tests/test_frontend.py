@@ -19,6 +19,8 @@ process-spawning tests share one module-scoped index and keep their
 request counts small; timing margins are generous for 1-CPU CI boxes.
 """
 
+import multiprocessing
+import queue
 import threading
 import time
 import urllib.request
@@ -34,6 +36,8 @@ from repro.serve.frontend import (FrontendConfig, ServingFrontend,
                                   attach_shard, create_shards,
                                   estimate_capacity, run_open_loop,
                                   shard_boundaries)
+from repro.serve.frontend.worker import (BYE, HEARTBEAT, RESULT,
+                                         SHUTDOWN, worker_main)
 from repro.serve.index import RetrievalIndex
 
 
@@ -71,7 +75,7 @@ def index() -> RetrievalIndex:
 
 def _config(**overrides) -> FrontendConfig:
     base = dict(n_workers=2, service=ServiceConfig(k=10, cache_size=0),
-                batch_window_ms=1.0, start_timeout_s=60.0)
+                start_timeout_s=60.0)
     base.update(overrides)
     return FrontendConfig(**base)
 
@@ -187,17 +191,88 @@ class TestFrontend:
             assert frontend.counters["unknown_users"] == 1
 
     def test_queue_full_sheds(self, index):
-        # One-slot queue, huge batch window: the second concurrent
-        # request must shed with queue_full while the first waits.
-        config = _config(max_queue_depth=1, batch_window_ms=200.0)
-        with ServingFrontend(index, config) as frontend:
-            first = frontend.submit(0, 10)
+        # One-slot queue, slow worker: the second concurrent request
+        # must shed with queue_full while the first is being scored.
+        plan = FaultPlan([FaultSpec("slow_shard", rate=1.0, delay_s=0.2,
+                                    shard=0)])
+        config = _config(max_queue_depth=1)
+        with ServingFrontend(index, config, faults=plan) as frontend:
+            first = frontend.submit(0, 10, deadline_ms=None)
             second = frontend.submit(1, 10)
             assert second.result(1.0) == {"status": "shed",
                                           "reason": "queue_full"}
             assert first.result(30.0)["status"] == "ok"
             assert frontend.counters["shed_queue_full"] == 1
             assert frontend.counters["shed_requests"] == 1
+
+    def test_requests_behind_a_busy_worker_coalesce(self, index,
+                                                   monkeypatch):
+        # Forked workers inherit this wrapper; the shared counter sees
+        # every engine call they make.
+        reference = RecommendService(index,
+                                     ServiceConfig(k=10, cache_size=0))
+        users = list(range(index.n_users // 2))   # shard 0's range
+        expected = reference.query_batch(users)
+        calls = multiprocessing.get_context("fork").Value("i", 0)
+        query_batch = RecommendService.query_batch
+
+        def counting_query_batch(self, *args, **kwargs):
+            with calls.get_lock():
+                calls.value += 1
+            return query_batch(self, *args, **kwargs)
+
+        monkeypatch.setattr(RecommendService, "query_batch",
+                            counting_query_batch)
+        # The stall holds worker 0 on its first request while the rest
+        # queue up behind it; the supervisor must not kill it for that.
+        plan = FaultPlan([FaultSpec("worker_stall", after_requests=1,
+                                    delay_s=0.6, worker=0)])
+        config = _config(stall_after_s=5.0)
+        with ServingFrontend(index, config, faults=plan) as frontend:
+            blocker = frontend.submit(users[0], 10, deadline_ms=None)
+            time.sleep(0.1)   # the blocker is in the worker's hands
+            futures = []
+            for uid in users:
+                # Spaced out, so each is dispatched in its own message.
+                futures.append(frontend.submit(uid, 10, deadline_ms=None))
+                time.sleep(0.005)
+            assert blocker.result(30.0)["result"]["items"] == \
+                expected[0]["items"]
+            for uid, future in zip(users, futures):
+                resolution = future.result(timeout=30.0)
+                assert resolution["status"] == "ok"
+                assert resolution["result"]["items"] == \
+                    expected[uid]["items"]
+        # One call for the blocker, then far fewer than one per
+        # queued request.
+        assert calls.value - 1 < len(users)
+
+    def test_worker_replies_once_then_stops_on_a_drained_sentinel(
+            self, index):
+        # worker_main in-process over plain queues: both requests queued
+        # ahead of the sentinel are answered in one RESULT, then the
+        # worker exits without reading past the sentinel.
+        reference = RecommendService(index,
+                                     ServiceConfig(k=10, cache_size=0))
+        arena = create_shards(index, 1)
+        try:
+            requests, responses = queue.Queue(), queue.Queue()
+            for req_id, uid in enumerate((3, 4)):
+                requests.put([(req_id, uid, 10, None, time.monotonic())])
+            requests.put(SHUTDOWN)
+            requests.put([(2, 5, 10, None, time.monotonic())])
+            worker_main(0, 1, arena.layout, 0, _config(n_workers=1),
+                        requests, responses)
+        finally:
+            arena.close()
+        messages = [responses.get_nowait()
+                    for _ in range(responses.qsize())]
+        assert [m[0] for m in messages] == [HEARTBEAT, RESULT, BYE]
+        entries = messages[1][4]
+        assert [(req_id, result["items"]) for req_id, result in entries] \
+            == [(0, reference.query(3)["items"]),
+                (1, reference.query(4)["items"])]
+        assert requests.qsize() == 1   # the message after the sentinel
 
     def test_fleet_health_aggregates_breakers(self, index):
         with ServingFrontend(index, _config()) as frontend:
@@ -227,17 +302,21 @@ class TestDeadlines:
             assert frontend.counters["admitted"] == 0
 
     def test_expiry_in_queue_sheds_without_scoring(self, index):
-        # The batch window (150 ms) outlives the deadline (30 ms): the
-        # dispatcher must shed the request before it touches a worker.
-        config = _config(batch_window_ms=150.0)
-        with ServingFrontend(index, config) as frontend:
+        # A blocker keeps shard 0's worker busy (150 ms) past the
+        # deadline (30 ms) of the request queued behind it: the worker
+        # must shed that request without scoring it.
+        plan = FaultPlan([FaultSpec("slow_shard", rate=1.0, delay_s=0.15,
+                                    shard=0)])
+        with ServingFrontend(index, _config(), faults=plan) as frontend:
+            blocker = frontend.submit(1, 10, deadline_ms=None)
             resolution = frontend.query(0, 10, deadline_ms=30.0)
             assert resolution == {"status": "shed", "reason": "deadline"}
+            assert blocker.result(30.0)["status"] == "ok"
             time.sleep(0.3)   # let worker heartbeats report stats
             fleet = frontend.supervisor.fleet_health()
             scored = sum(s["stats"].get("requests", 0)
                          for s in fleet["shards"].values())
-            assert scored == 0
+            assert scored == 1   # the blocker alone
 
     def test_expiry_mid_scoring_counts_a_timeout(self, index):
         # Engine-level leg of the matrix: the deadline the front-end
