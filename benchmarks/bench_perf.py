@@ -31,16 +31,14 @@ from __future__ import annotations
 
 import json
 import os
-import pathlib
 import time
 from typing import Callable, Dict
 
 import numpy as np
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_perf.json"
+from conftest import FAST, REPO_ROOT, bench_meta
 
-FAST = os.environ.get("REPRO_BENCH_FAST", "") not in ("", "0")
+RESULT_PATH = REPO_ROOT / "BENCH_perf.json"
 
 # Default bench scale: the largest Table-I mirror, upscaled so the hot
 # paths dominate over per-call overhead; fast mode shrinks it for smoke
@@ -228,32 +226,6 @@ def bench_obs_overhead(dataset, split, batch_size: int = 4096
     }
 
 
-def _environment_meta() -> Dict[str, object]:
-    """Backend + numpy + BLAS provenance for the bench record.
-
-    Perf numbers are meaningless without knowing what ran them: the
-    active backend(s), the numpy version, and which BLAS numpy linked
-    against (OpenBLAS vs reference BLAS can alone explain a 3x swing in
-    the matmul-heavy paths).
-    """
-    from repro.tensor import available_backends, get_backend
-
-    blas = "unknown"
-    try:
-        cfg = np.show_config(mode="dicts")
-        blas = cfg.get("Build Dependencies", {}).get(
-            "blas", {}).get("name", "unknown")
-    except (TypeError, AttributeError):
-        pass  # older numpy without dict-mode show_config
-    return {
-        "backend_default": get_backend().name,
-        "backends_timed": list(available_backends()),
-        "numpy": np.__version__,
-        "blas": blas,
-        "cpu_count": os.cpu_count(),
-    }
-
-
 def _span_breakdown(tracer) -> Dict[str, object]:
     """Aggregate the suite tracer into {phase: {total_s, pct}}."""
     roots = [s for s in tracer.finished if s.parent_id is None]
@@ -285,7 +257,7 @@ def _emit_bench_run(tracer, results: Dict[str, object]) -> None:
         "run_id": run_dir.name,
         "started_at": results["meta"]["timestamp"],
         "wall_s": results["spans"]["total_s"],
-        "git_sha": obs.git_sha(REPO_ROOT) or "unknown",
+        "git_sha": results["meta"]["git_sha"],
         "config": {"command": "bench_perf", "fast": FAST,
                    "dataset": BENCH_DATASET, "scale": BENCH_SCALE},
         "seed": None,
@@ -313,14 +285,11 @@ def run_perf_suite(write: bool = False) -> Dict[str, object]:
             dataset = load_dataset(BENCH_DATASET, scale=BENCH_SCALE)
             split = temporal_split(dataset)
         results["meta"] = {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "fast": FAST,
+            **bench_meta(BENCH_SCALE),
             "dataset": BENCH_DATASET,
-            "scale": BENCH_SCALE,
             "n_users": dataset.n_users,
             "n_items": dataset.n_items,
             "n_interactions": dataset.n_interactions,
-            **_environment_meta(),
         }
         with tracer.span("evaluation"):
             results["evaluation"] = bench_evaluation(dataset, split)

@@ -11,39 +11,35 @@ comes from graph models re-running their full (hyperbolic) propagation
 on every ``recommend`` call while the index replays only the final
 distance arithmetic.
 
-Since PR 7 the percentiles are HDR-histogram-derived (bounded 0.5%
-relative error, same machinery the live serve path records into) and the
-results carry an ``slo`` report evaluated against the built-in
-objectives; the suite asserts that report passes, so a latency or
-availability regression fails the benchmark, not just the speedup floor.
+The percentiles are HDR-histogram-derived (bounded 0.5% relative
+error, same machinery the live serve path records into) and the results
+carry an ``slo`` report evaluated against the built-in objectives; the
+suite asserts that report passes, so a latency or availability
+regression fails the benchmark, not just the speedup floor.
 
-Since PR 8 the suite also drives the multi-worker front-end through the
-open-loop overload drill (:func:`repro.serve.frontend.
-run_frontend_benchmark`): capacity is estimated, then load is offered at
-0.5x and 2x capacity, and the recorded contract is that under 2x
-overload the shed rate is **positive** (admission control engaged) while
-the admitted p99 still passes the latency SLO; a ``worker_kill`` drill
-then asserts zero hard failures and a restarted fleet.  Results land
-under the ``frontend`` key of ``BENCH_serve.json``.
+The suite also drives the multi-worker front-end through the open-loop
+overload drill (:func:`repro.serve.bench.run_frontend_benchmark`):
+capacity is estimated, then load is offered at 0.5x and 2x capacity,
+and the recorded contract is that under 2x overload the shed rate is
+**positive** (admission control engaged) while the admitted p99 still
+passes the latency SLO; a ``worker_kill`` drill then asserts zero hard
+failures and a restarted fleet.  Results land under the ``frontend``
+key of ``BENCH_serve.json``.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_serve.py``) or
 through pytest (``pytest benchmarks/bench_serve.py``).  Set
-``REPRO_BENCH_FAST=1`` for a smaller request count and shorter
-open-loop windows.
+``REPRO_BENCH_FAST=1`` for a smaller closed-loop request count; the
+open-loop windows are fixed and do not shrink.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import pathlib
-import time
 from typing import Dict
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_serve.json"
+from conftest import FAST, REPO_ROOT, bench_meta
 
-FAST = os.environ.get("REPRO_BENCH_FAST", "") not in ("", "0")
+RESULT_PATH = REPO_ROOT / "BENCH_serve.json"
 
 N_REQUESTS = 60 if FAST else 200
 MIN_SPEEDUP = 5.0
@@ -55,13 +51,10 @@ def run_serve_suite(write: bool = False) -> Dict[str, object]:
 
     results = run_serve_benchmark(
         model_name="LogiRec++", dataset_name="ciao", epochs=3,
-        n_requests=N_REQUESTS, batch_size=32, k=10, seed=0,
+        n_requests=N_REQUESTS, k=10, seed=0,
         frontend_workers=FRONTEND_WORKERS)
-    results["meta"] = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "fast": FAST,
-        "min_speedup_floor": MIN_SPEEDUP,
-    }
+    results["meta"] = {**bench_meta(scale=1.0),
+                       "min_speedup_floor": MIN_SPEEDUP}
     if write:
         RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
     return results

@@ -8,8 +8,10 @@
 #              level weighting ("exclusion_levels" or "exp(eta")
 #              outside taxonomy/ and the one consistency kernel in
 #              core/weighting.py, no assignment to an instance's
-#              .prepare, and no FrontendConfig/ServiceConfig field
-#              that src/repro never reads outside its defining module;
+#              .prepare, no FrontendConfig/ServiceConfig field
+#              that src/repro never reads outside its defining module,
+#              and no HdrHistogram constructed outside obs/ and the one
+#              load harness (serve/bench.py);
 #              benchmarks/ must collect and every
 #              examples/*.py must import, because the tier-1 tests
 #              import neither and a deleted library name they still
@@ -108,6 +110,18 @@ violations=$( (grep -rnE --include='*.py' '^[^#]*(exclusion_levels|exp[(]eta)' \
 if [ -n "$violations" ]; then
     echo "Eq. 12 level weighting outside repro/core/weighting.py, or a" \
          "per-instance prepare (pass weights through Split.train_weights):"
+    echo "$violations"
+    exit 1
+fi
+echo "ok"
+
+echo "== lint: HdrHistogram is built only in obs/ and the load harness =="
+violations=$(grep -rnE --include='*.py' '^[^#]*\bHdrHistogram[(]' src/repro \
+    | grep -vE '^src/repro/(obs/|serve/bench\.py:)' || true)
+if [ -n "$violations" ]; then
+    echo "HdrHistogram constructed outside repro/obs and" \
+         "repro/serve/bench.py (record through repro.obs.observe, or time" \
+         "load with repro.serve.bench.latency_histogram):"
     echo "$violations"
     exit 1
 fi

@@ -352,16 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     bch.add_argument("--index", default=None, metavar="DIR",
                      help="benchmark a saved index (from `repro serve "
                           "export`) instead of training in-process")
-    bch.add_argument("--fail-rate", type=float, default=0.0,
-                     help="also measure the degraded path under this "
-                          "injected scoring-failure rate")
     bch.add_argument("--frontend-workers", type=int, default=0,
                      metavar="N",
                      help="also run the multi-worker open-loop overload "
-                          "benchmark with N worker processes")
-    bch.add_argument("--no-kill-drill", action="store_true",
-                     help="skip the worker-kill drill in the frontend "
-                          "benchmark")
+                          "benchmark and worker-kill drill with N worker "
+                          "processes")
     _add_telemetry(bch)
     htp = serve_sub.add_parser(
         "http", help="multi-worker HTTP serving front-end")
@@ -905,9 +900,8 @@ def cmd_serve(args) -> int:
         results = run_serve_benchmark(
             model_name=args.model, dataset_name=args.dataset,
             epochs=args.epochs, n_requests=args.requests, k=args.k,
-            index_path=args.index, fail_rate=args.fail_rate,
-            frontend_workers=args.frontend_workers,
-            frontend_kill_drill=not args.no_kill_drill)
+            index_path=args.index,
+            frontend_workers=args.frontend_workers)
         print(format_results(results))
         final = {"indexed/p99_ms": results["indexed"]["p99_ms"],
                  "indexed/qps": results["indexed"]["qps"]}

@@ -44,7 +44,8 @@ from repro.obs.sink import read_manifest
 
 __all__ = ["DEFAULT_SLOS", "SloConfigError", "SloResult",
            "evaluate_manifest", "evaluate_run", "evaluate_serve_results",
-           "evaluate_slos", "format_report", "load_slo_config"]
+           "evaluate_serving", "evaluate_slos", "format_report",
+           "load_slo_config"]
 
 DEFAULT_SLOS: List[Dict[str, object]] = [
     {"name": "latency-p99", "kind": "latency_p99",
@@ -213,6 +214,18 @@ def evaluate_run(run_dir, objectives=None) -> Optional[Dict[str, object]]:
     return evaluate_manifest(manifest, objectives)
 
 
+def evaluate_serving(p99_ms: Optional[float], requests: Optional[int],
+                     degraded: Optional[int],
+                     objectives: Optional[List[Dict[str, object]]] = None
+                     ) -> Dict[str, object]:
+    """Evaluate one serving measurement: a ``serve/latency_ms`` p99 (or
+    None when nothing was timed) plus request and degraded counts."""
+    objectives = objectives if objectives is not None else load_slo_config()
+    latency = {} if p99_ms is None else {"serve/latency_ms": float(p99_ms)}
+    return _report(evaluate_slos(objectives, latency_p99_ms=latency,
+                                 requests=requests, degraded=degraded))
+
+
 def evaluate_serve_results(results: Dict[str, object],
                            objectives: Optional[List[Dict[str, object]]] =
                            None) -> Dict[str, object]:
@@ -221,17 +234,11 @@ def evaluate_serve_results(results: Dict[str, object],
     Latency comes from the cold indexed path (the honest number);
     availability from the aggregated service counters the bench records.
     """
-    objectives = objectives if objectives is not None else load_slo_config()
-    latency: Dict[str, float] = {}
-    indexed = results.get("indexed") or {}
-    if "p99_ms" in indexed:
-        latency["serve/latency_ms"] = float(indexed["p99_ms"])
     stats = results.get("service_stats") or {}
-    report = _report(evaluate_slos(
-        objectives, latency_p99_ms=latency,
-        requests=stats.get("requests"),
-        degraded=stats.get("degraded")))
-    return report
+    return evaluate_serving((results.get("indexed") or {}).get("p99_ms"),
+                            requests=stats.get("requests"),
+                            degraded=stats.get("degraded"),
+                            objectives=objectives)
 
 
 def format_report(report: Dict[str, object], title: str = "slo") -> str:

@@ -83,10 +83,10 @@ class StreamIngestor:
         n_duplicates = 0
         if self.on_duplicate == "skip":
             kept = []
-            batch_seen = set(self._seen)
+            batch_seen = set()
             for event in events:
                 pair = (int(event.user_id), int(event.item_id))
-                if pair in batch_seen:
+                if pair in self._seen or pair in batch_seen:
                     n_duplicates += 1
                 else:
                     batch_seen.add(pair)

@@ -159,10 +159,11 @@ class OnlineLoop:
 
     def append_events(self, events) -> Dict[str, object]:
         """Append events to the journal (producer side)."""
-        end = self.journal.append(list(events))
+        events = list(events)
+        end = self.journal.append(events)
         self.state["last_append_wall"] = time.time()
         self._save_state()
-        return {"n_events": len(list(events)), "journal_bytes": end}
+        return {"n_events": len(events), "journal_bytes": end}
 
     def simulate(self, n_events: int, n_new_users: int = 0,
                  n_new_items: int = 0) -> Dict[str, object]:

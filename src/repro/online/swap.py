@@ -80,8 +80,8 @@ def run_swap_drill(model_name: str = "BPRMF", dataset_name: str = "cd",
     from repro.online.ingest import StreamIngestor
     from repro.serve.checkpoint import save_checkpoint
     from repro.serve.config import ServiceConfig
-    from repro.serve.frontend import (FrontendConfig, ServingFrontend,
-                                      run_open_loop)
+    from repro.serve.bench import run_open_loop
+    from repro.serve.frontend import FrontendConfig, ServingFrontend
     from repro.serve.index import build_index
 
     if workdir is None:

@@ -166,8 +166,8 @@ def run_frontend_drill(model_name: str = "BPRMF",
     from repro.data import load_dataset, temporal_split
     from repro.experiments.runner import build_model
     from repro.serve.config import ServiceConfig
-    from repro.serve.frontend import (FrontendConfig, ServingFrontend,
-                                      run_open_loop)
+    from repro.serve.bench import run_open_loop
+    from repro.serve.frontend import FrontendConfig, ServingFrontend
     from repro.serve.index import build_index
 
     dataset = load_dataset(dataset_name)

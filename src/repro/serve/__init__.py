@@ -16,12 +16,14 @@ The subsystem turns a trained in-memory model into deployable artifacts:
   inference engine with an LRU response cache, retry/timeout guards, an
   error-rate circuit breaker, and graceful degradation (stale-index or
   popularity fallback) for unknown users and failed scoring.
-* :mod:`repro.serve.bench` — the load harness behind
-  ``benchmarks/bench_serve.py`` and ``repro serve bench``.
+* :mod:`repro.serve.bench` — the one load harness, behind
+  ``benchmarks/bench_serve.py`` and ``repro serve bench``: closed-loop
+  request paths in process, and open-loop overload plus a worker-kill
+  drill against the front-end.
 * :mod:`repro.serve.frontend` — the multi-worker scale-out layer:
   shared-memory index shards served by supervised worker processes
   behind an admission-controlled asyncio HTTP edge
-  (``repro serve http``), with open-loop overload benchmarking.
+  (``repro serve http``).
 """
 
 from repro.serve.checkpoint import (CHECKPOINT_VERSION, CheckpointError,

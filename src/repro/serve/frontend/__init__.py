@@ -7,8 +7,9 @@ worker processes (:mod:`~repro.serve.frontend.worker`,
 :mod:`~repro.serve.frontend.supervisor`), and fronted by an admission-
 controlled dispatcher (:mod:`~repro.serve.frontend.core`) with an
 asyncio HTTP edge (:mod:`~repro.serve.frontend.http`) — the surface
-behind ``repro serve http``.  :mod:`~repro.serve.frontend.loadgen`
-holds the open-loop overload benchmark.
+behind ``repro serve http``.  The package is the server only; the
+open-loop load generator that drives it is a client and lives in
+:mod:`repro.serve.bench`.
 
 The contract, in one sentence: under overload the front-end sheds (429)
 instead of queueing unboundedly, under worker failure it degrades
@@ -20,10 +21,6 @@ from repro.serve.frontend.config import FrontendConfig
 from repro.serve.frontend.core import PendingRequest, ServingFrontend
 from repro.serve.frontend.http import (HttpFrontendServer, fetch_status,
                                        run_http_server)
-from repro.serve.frontend.loadgen import (estimate_capacity,
-                                          format_frontend_results,
-                                          run_frontend_benchmark,
-                                          run_open_loop)
 from repro.serve.frontend.sharding import (ShardLayout, SharedIndexArena,
                                            attach_shard, create_shards,
                                            shard_boundaries)
@@ -40,11 +37,7 @@ __all__ = [
     "WorkerSupervisor",
     "attach_shard",
     "create_shards",
-    "estimate_capacity",
     "fetch_status",
-    "format_frontend_results",
-    "run_frontend_benchmark",
     "run_http_server",
-    "run_open_loop",
     "shard_boundaries",
 ]

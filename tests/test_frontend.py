@@ -32,9 +32,9 @@ from repro import obs
 from repro.robust import FaultPlan, FaultSpec
 from repro.serve import RecommendService, ServiceConfig
 from repro.serve.engine import popularity_items
+from repro.serve.bench import estimate_capacity, run_open_loop
 from repro.serve.frontend import (FrontendConfig, ServingFrontend,
                                   attach_shard, create_shards,
-                                  estimate_capacity, run_open_loop,
                                   shard_boundaries)
 from repro.serve.frontend.worker import (BYE, HEARTBEAT, RESULT,
                                          SHUTDOWN, worker_main)

@@ -634,9 +634,11 @@ def test_profiler_rejects_bad_interval_and_double_start():
 # Bench percentiles now HDR-derived
 # ----------------------------------------------------------------------
 def test_bench_percentiles_are_hdr_derived():
-    from repro.serve.bench import _percentiles_ms
-    times_s = [i / 1000.0 for i in range(1, 1001)]   # 1..1000 ms
-    out = _percentiles_ms(times_s)
+    from repro.serve.bench import latency_histogram, latency_summary
+    hist = latency_histogram()
+    for i in range(1, 1001):                         # 1..1000 ms
+        hist.observe(float(i))
+    out = latency_summary(hist)
     assert out["hdr_rel_error"] == 0.005
     assert out["p50_ms"] == pytest.approx(500.0, rel=0.011)
     assert out["p99_ms"] == pytest.approx(990.0, rel=0.011)

@@ -200,6 +200,27 @@ class TestIndexAndEngine:
         with pytest.raises(IndexFormatError, match="no index"):
             load_index(tmp_path / "nope")
 
+    def test_load_harness_on_saved_index(self, setup, tmp_path):
+        """Every key the BENCH_serve.json checks and SLO adapter read."""
+        from repro.serve.bench import run_serve_benchmark
+
+        ds, split = setup
+        build_index(_trained("BPRMF", ds, split), ds,
+                    split).save(tmp_path / "idx")
+        results = run_serve_benchmark(index_path=tmp_path / "idx",
+                                      n_requests=20, frontend_workers=0)
+        assert results["naive"] is None
+        assert results["speedup_indexed_vs_naive"] is None
+        for path in ("indexed", "cached"):
+            row = results[path]
+            assert row["n_requests"] == 20
+            assert 0 < row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]
+            assert row["mean_ms"] > 0 and row["qps"] > 0
+        assert results["batched"]["qps"] > 0
+        assert results["service_stats"]["requests"] == 80
+        assert results["slo"]["passed"]
+        assert "frontend" not in results
+
 
 # ----------------------------------------------------------------------
 # CLI flow + friendly obs errors
