@@ -10,8 +10,10 @@
 #              core/weighting.py, no assignment to an instance's
 #              .prepare, no FrontendConfig/ServiceConfig field
 #              that src/repro never reads outside its defining module,
-#              and no HdrHistogram constructed outside obs/ and the one
-#              load harness (serve/bench.py);
+#              no HdrHistogram constructed outside obs/ and the one
+#              load harness (serve/bench.py), and no hashlib.sha256 or
+#              os.replace outside the one artifact module
+#              (repro/artifact.py; spec.py's digest hashes a payload);
 #              benchmarks/ must collect and every
 #              examples/*.py must import, because the tier-1 tests
 #              import neither and a deleted library name they still
@@ -122,6 +124,22 @@ if [ -n "$violations" ]; then
     echo "HdrHistogram constructed outside repro/obs and" \
          "repro/serve/bench.py (record through repro.obs.observe, or time" \
          "load with repro.serve.bench.latency_histogram):"
+    echo "$violations"
+    exit 1
+fi
+echo "ok"
+
+echo "== lint: one file hash and one temp-file replace (repro/artifact.py) =="
+pattern='(hashlib[.]sha256|os[.]replace)'
+violations=$( (grep -rnE --include='*.py' "^[^#]*$pattern" src/repro \
+        | grep -vE '^src/repro/(artifact|experiments/dag/spec)\.py:' || true
+    awk -v pat="^[^#]*$pattern" '/^(def|class) / { inside = /^def digest[(]/ }
+        !inside && $0 ~ pat { print FILENAME ":" FNR ":" $0 }' \
+        src/repro/experiments/dag/spec.py) )
+if [ -n "$violations" ]; then
+    echo "file hash or temp-file replace outside repro/artifact.py (use" \
+         "repro.artifact.sha256_of, replaced or ArtifactFormat;" \
+         "spec.py's digest hashes a payload, not a file):"
     echo "$violations"
     exit 1
 fi

@@ -4,7 +4,8 @@ A downstream adopter has interactions in flat files, not in our synthetic
 generator.  This module provides:
 
 * :func:`save_dataset` / :func:`load_dataset_file` — lossless npz + JSON
-  round-trip of an :class:`~repro.data.InteractionDataset`;
+  round-trip of an :class:`~repro.data.InteractionDataset`, each file
+  replaced whole (:func:`repro.artifact.replaced`);
 * :func:`read_interactions_csv` — ``user,item,timestamp`` CSV ingestion
   with dense id re-mapping;
 * :func:`read_item_tags_csv` — ``item,tag`` CSV into the sparse Q matrix;
@@ -21,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro.artifact import replaced
 from repro.data.dataset import InteractionDataset
 from repro.taxonomy import Taxonomy, extract_relations
 
@@ -45,19 +47,20 @@ def save_dataset(dataset: InteractionDataset, path: str) -> None:
     """Write the dataset to ``<path>.npz`` plus ``<path>.taxonomy.json``."""
     npz_path, tax_path = _dataset_paths(path)
     coo = sp.coo_matrix(dataset.item_tags)
-    np.savez_compressed(
-        npz_path,
-        user_ids=dataset.user_ids,
-        item_ids=dataset.item_ids,
-        timestamps=dataset.timestamps,
-        n_users=np.array([dataset.n_users]),
-        n_items=np.array([dataset.n_items]),
-        q_row=coo.row, q_col=coo.col,
-        q_shape=np.array(coo.shape),
-    )
+    with replaced(npz_path, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            user_ids=dataset.user_ids,
+            item_ids=dataset.item_ids,
+            timestamps=dataset.timestamps,
+            n_users=np.array([dataset.n_users]),
+            n_items=np.array([dataset.n_items]),
+            q_row=coo.row, q_col=coo.col,
+            q_shape=np.array(coo.shape),
+        )
     payload = dataset.taxonomy.to_dict()
     payload["name"] = dataset.name
-    with open(tax_path, "w") as f:
+    with replaced(tax_path) as f:
         json.dump(payload, f)
 
 

@@ -7,7 +7,7 @@ Disk layout under the workdir::
     <root>/nodes/<node_key>/ck/           # train: supervisor auto-ckpt
     <root>/nodes/<node_key>/final/        # train: final PR4 checkpoint
 
-``result.json`` is written atomically (temp file + ``os.replace``) and
+``result.json`` is written atomically (:func:`repro.artifact.replaced`) and
 its presence *is* the completion marker: a run killed mid-node leaves
 checkpoints but no marker, so the next run re-executes that node — and
 the training executor resumes from the auto-checkpoint's ``fit_state``
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.artifact import replaced
 from repro.experiments.dag.spec import ExperimentSpec
 
 
@@ -112,10 +113,8 @@ class ResultStore:
             return
         path = self._result_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name("result.json.tmp")
-        with open(tmp, "w") as fh:
+        with replaced(path) as fh:
             json.dump(result, fh, indent=2, sort_keys=True)
-        os.replace(tmp, path)
 
     def remove(self, key: str) -> None:
         if not self.persistent:
@@ -136,10 +135,8 @@ class ResultStore:
         specs_dir = self.root / "specs"
         specs_dir.mkdir(parents=True, exist_ok=True)
         path = specs_dir / f"{spec.spec_hash()}.json"
-        tmp = path.with_suffix(".json.tmp")
-        with open(tmp, "w") as fh:
+        with replaced(path) as fh:
             json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
-        os.replace(tmp, path)
         return path
 
     def recorded_specs(self) -> List[ExperimentSpec]:

@@ -27,7 +27,6 @@ once exported); in process, a live
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -35,6 +34,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro import obs
+from repro.artifact import replaced
 from repro.online.events import EventJournal, simulate_events
 from repro.online.finetune import incremental_finetune
 from repro.online.ingest import StreamIngestor
@@ -73,10 +73,8 @@ class OnlineLoop:
                 "last_append_wall": None}
 
     def _save_state(self) -> None:
-        tmp = self.workdir / (STATE_FILE + ".tmp")
-        with open(tmp, "w") as fh:
+        with replaced(self.workdir / STATE_FILE) as fh:
             json.dump(self.state, fh, indent=2, sort_keys=True)
-        os.replace(tmp, self.workdir / STATE_FILE)
 
     @property
     def checkpoint_dir(self) -> Path:
@@ -245,9 +243,8 @@ class OnlineLoop:
                 "live_swaps": swaps}
 
     def _flip_current(self, version: int) -> None:
-        tmp = self.workdir / (CURRENT_FILE + ".tmp")
-        tmp.write_text(self.index_dir(version).name + "\n")
-        os.replace(tmp, self.workdir / CURRENT_FILE)
+        with replaced(self.workdir / CURRENT_FILE) as fh:
+            fh.write(self.index_dir(version).name + "\n")
 
     # ------------------------------------------------------------------
     # Full cycle + health

@@ -28,46 +28,38 @@ one exercised by drills and CI.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.artifact import ArtifactFormat
 from repro.robust.faults import FaultPlan, SimulatedCrash
 from repro.robust.policies import ResilienceConfig
+from repro.serve.checkpoint import (FORMAT as CHECKPOINT, CheckpointError,
+                                    restore_checkpoint, save_checkpoint)
 
 LOG = obs.get_logger(__name__)
 
-FIT_STATE_META = "fit_state.json"
-FIT_STATE_ARRAYS = "fit_state.npz"
+FIT_STATE = ArtifactFormat("fit_state.npz", "fit_state.json", "fit_state",
+                           CheckpointError)
 
 
 class TrainingDivergedError(RuntimeError):
     """Training kept diverging after exhausting the rollback budget."""
 
 
-def _sha256_of(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 # ----------------------------------------------------------------------
 # fit_state sidecar: optimizer state + best snapshot + retry budget
 # ----------------------------------------------------------------------
 def save_fit_state(path, optimizer, state, retries_left: int) -> Path:
-    """Write the resume sidecar next to a PR4 checkpoint.
+    """Write the resume sidecar next to the checkpoint in ``path``.
 
     ``state`` is the loop's :class:`~repro.models.base.FitState`;
     ``state.epoch`` must already equal the number of completed epochs.
+    ``checkpoint_sha256`` pairs the sidecar with that checkpoint.
     """
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     opt_state = optimizer.state_dict()
     arrays: Dict[str, np.ndarray] = {}
     scalars: Dict[str, object] = {}
@@ -79,9 +71,7 @@ def save_fit_state(path, optimizer, state, retries_left: int) -> Path:
     if state.best_state is not None:
         for i, data in enumerate(state.best_state):
             arrays[f"best:{i:03d}"] = data
-    arrays_path = path / FIT_STATE_ARRAYS
-    np.savez(arrays_path, **arrays)
-    meta = {
+    return FIT_STATE.write(path, arrays, {
         "epochs_done": int(state.epoch),
         "best_score": (None if not np.isfinite(state.best_score)
                        else float(state.best_score)),
@@ -91,18 +81,16 @@ def save_fit_state(path, optimizer, state, retries_left: int) -> Path:
         "optimizer_class": type(optimizer).__name__,
         "optimizer_scalars": scalars,
         "retries_left": int(retries_left),
-        "arrays_sha256": _sha256_of(arrays_path),
-    }
-    with open(path / FIT_STATE_META, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-    return path
+        "checkpoint_sha256":
+            CHECKPOINT.read_manifest(path)["arrays_sha256"],
+    })
 
 
 def has_fit_state(path) -> bool:
     """True when ``path`` holds a resumable checkpoint + sidecar."""
     path = Path(path)
-    return ((path / FIT_STATE_META).is_file()
-            and (path / FIT_STATE_ARRAYS).is_file())
+    return ((path / FIT_STATE.manifest_file).is_file()
+            and (path / FIT_STATE.arrays_file).is_file())
 
 
 def load_fit_state(path, optimizer, state) -> int:
@@ -110,34 +98,19 @@ def load_fit_state(path, optimizer, state) -> int:
 
     Returns the saved retry budget.  Raises
     :class:`repro.serve.CheckpointError` on a missing, corrupted, or
-    mismatched sidecar (same failure contract as the checkpoint itself).
+    mismatched sidecar, or one paired with another checkpoint.
     """
-    from repro.serve.checkpoint import CheckpointError
-
-    path = Path(path)
-    meta_path = path / FIT_STATE_META
-    arrays_path = path / FIT_STATE_ARRAYS
-    if not meta_path.is_file() or not arrays_path.is_file():
+    meta, arrays = FIT_STATE.read(path)
+    if (meta.get("checkpoint_sha256")
+            != CHECKPOINT.read_manifest(path).get("arrays_sha256")):
         raise CheckpointError(
-            f"checkpoint {path} has no fit_state sidecar; it can be "
-            f"served but not resumed")
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(
-            f"unreadable fit_state metadata {meta_path}: {exc}") from exc
-    if _sha256_of(arrays_path) != meta.get("arrays_sha256"):
-        raise CheckpointError(
-            f"checkpoint {path} fit_state is corrupted: "
-            f"{FIT_STATE_ARRAYS} checksum mismatch")
+            f"checkpoint {path} fit_state belongs to another checkpoint; "
+            f"it can be served but not resumed")
     if meta.get("optimizer_class") != type(optimizer).__name__:
         raise CheckpointError(
             f"checkpoint {path} fit_state was saved for optimizer "
             f"{meta.get('optimizer_class')!r}, model builds "
             f"{type(optimizer).__name__!r}")
-    with np.load(arrays_path) as npz:
-        arrays = {key: npz[key] for key in npz.files}
     opt_state: Dict[str, object] = dict(meta.get("optimizer_scalars", {}))
     for key, value in arrays.items():
         if key.startswith("opt:"):
@@ -261,8 +234,6 @@ class TrainingSupervisor:
                    for p in model.parameters())
 
     def _checkpoint(self, model, optimizer, state) -> None:
-        from repro.serve.checkpoint import save_checkpoint
-
         with obs.trace("checkpoint", epoch=state.epoch):
             save_checkpoint(model, self.dir, dataset=self._dataset)
             save_fit_state(self.dir, optimizer, state, self.retries_left)
@@ -271,8 +242,6 @@ class TrainingSupervisor:
         obs.count("train/auto_checkpoints")
 
     def _rollback(self, model, optimizer, state, epoch: int) -> int:
-        from repro.serve.checkpoint import read_checkpoint_meta
-
         obs.count("train/divergence_detected")
         self.retries_left -= 1
         if self.retries_left < 0:
@@ -281,12 +250,7 @@ class TrainingSupervisor:
                 f"no rollback budget left "
                 f"(max_retries={self.config.max_retries}); last good "
                 f"checkpoint: {self.dir}")
-        meta = read_checkpoint_meta(self.dir)
-        with np.load(self.dir / "arrays.npz") as npz:
-            model.load_state_dict({key: npz[key] for key in npz.files})
-        model.rng.bit_generator.state = meta["rng_state"]
-        model.loss_history = [float(x)
-                              for x in meta.get("loss_history", [])]
+        restore_checkpoint(model, self.dir)
         # Capture the *running* lr before the sidecar restores the
         # checkpointed one, so repeated rollbacks from the same
         # checkpoint keep compounding the backoff instead of re-applying

@@ -2,13 +2,13 @@
 
 The subsystem turns a trained in-memory model into deployable artifacts:
 
-* :mod:`repro.serve.checkpoint` — a versioned, zero-dependency
-  ``arrays.npz`` + JSON checkpoint format.  Round-tripping a model gives
-  bit-identical scores and bit-identical *resumed* training.
+* :mod:`repro.serve.checkpoint` — ``arrays.npz`` + ``checkpoint.json``
+  in the one checksummed :mod:`repro.artifact` format.  Round-tripping a
+  model gives bit-identical scores and bit-identical *resumed* training.
 * :mod:`repro.serve.index` — an offline index builder that freezes the
   model's scoring arithmetic (:meth:`Recommender.export_scoring`) into
-  precomputed tables, so per-request scoring is one small matvec instead
-  of a full forward pass.
+  precomputed tables (``index.npz`` + ``index.json``, the same format),
+  so per-request scoring is one small matvec, not a full forward pass.
 * :mod:`repro.serve.config` — :class:`ServiceConfig`, the formal
   deployment configuration (list length, cache, retry/breaker policies,
   fallback mode) shared by the engine, the bench, and the CLI.

@@ -1,38 +1,28 @@
 """Versioned model checkpoints: ``arrays.npz`` + ``checkpoint.json``.
 
-A checkpoint is a directory with two files:
+A checkpoint is a :mod:`repro.artifact` directory with two files:
 
 * ``arrays.npz`` — every learnable parameter, keyed exactly as
   :meth:`Recommender.state_dict` emits them (``"<position>:<name>"``);
-* ``checkpoint.json`` — format version, model/config class names, the
-  full config, extra constructor kwargs, universe sizes, dataset
-  provenance, the RNG bit-generator state, the loss history, and a
-  sha256 checksum of ``arrays.npz``.
+* ``checkpoint.json`` — model/config class names, the full config,
+  extra constructor kwargs, universe sizes, dataset provenance, the RNG
+  bit-generator state and the loss history, beside the format version
+  and the sha256 of ``arrays.npz``.
 
-Design constraints the format satisfies:
-
-* **Zero dependencies** — numpy + the standard library only.
-* **Bit-identical round trips** — ``.npz`` stores float64 arrays
-  losslessly and the RNG state is the exact ``bit_generator.state``
-  dict, so a loaded model both scores and *continues training*
-  identically to the live one.
-* **Corruption detection** — the JSON carries a sha256 of the array
-  payload; any mismatch (or a version bump) raises
-  :class:`CheckpointError` with a one-line reason instead of producing
-  a silently wrong model.
+``.npz`` stores float64 arrays losslessly and the RNG state is the exact
+``bit_generator.state`` dict, so a loaded model both scores and
+*continues training* identically to the live one; a damaged or
+mismatched checkpoint raises :class:`CheckpointError` instead.
 """
 
 from __future__ import annotations
 
-import hashlib
 import inspect
-import json
 from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Optional, Type
 
-import numpy as np
-
+from repro.artifact import ArtifactFormat
 from repro.data.dataset import InteractionDataset, Split
 
 CHECKPOINT_VERSION = 1
@@ -43,6 +33,10 @@ META_FILE = "checkpoint.json"
 
 class CheckpointError(Exception):
     """A checkpoint could not be read: missing, corrupted, or wrong version."""
+
+
+FORMAT = ArtifactFormat(ARRAYS_FILE, META_FILE, "checkpoint",
+                        CheckpointError, CHECKPOINT_VERSION)
 
 
 def _model_registry() -> Dict[str, Type]:
@@ -69,14 +63,6 @@ def _config_registry() -> Dict[str, Type]:
     return {"TrainConfig": TrainConfig, "LogiRecConfig": LogiRecConfig}
 
 
-def _sha256_of(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def save_checkpoint(model, path, *,
                     dataset: Optional[InteractionDataset] = None) -> Path:
     """Write ``model`` to the directory ``path``; returns the directory.
@@ -86,12 +72,7 @@ def save_checkpoint(model, path, *,
     deterministic synthetic dataset from the registry without the caller
     re-specifying it.
     """
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    arrays_path = path / ARRAYS_FILE
-    np.savez(arrays_path, **model.state_dict())
     meta: Dict[str, object] = {
-        "format_version": CHECKPOINT_VERSION,
         "model_class": type(model).__name__,
         "config_class": type(model.config).__name__,
         "config": asdict(model.config),
@@ -100,7 +81,6 @@ def save_checkpoint(model, path, *,
         "n_items": int(model.n_items),
         "rng_state": model.rng.bit_generator.state,
         "loss_history": [float(x) for x in model.loss_history],
-        "arrays_sha256": _sha256_of(arrays_path),
     }
     if hasattr(model, "n_tags"):
         meta["n_tags"] = int(model.n_tags)
@@ -112,38 +92,30 @@ def save_checkpoint(model, path, *,
             "n_tags": int(dataset.n_tags),
             "n_interactions": int(dataset.n_interactions),
         }
-    with open(path / META_FILE, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-    return path
+    return FORMAT.write(path, model.state_dict(), meta)
 
 
 def read_checkpoint_meta(path) -> Dict[str, object]:
     """Parse and validate ``checkpoint.json`` (version + checksum)."""
-    path = Path(path)
-    meta_path = path / META_FILE
-    arrays_path = path / ARRAYS_FILE
-    if not meta_path.is_file():
-        raise CheckpointError(f"no checkpoint at {path} "
-                              f"(missing {META_FILE})")
+    return FORMAT.read(path)[0]
+
+
+def restore_checkpoint(model, path, artifact=None) -> None:
+    """Restore parameters, RNG state and loss history into ``model``.
+
+    The one restore behind :func:`load_checkpoint` and the training
+    supervisor's rollback; ``artifact`` is an already-read
+    ``(meta, arrays)`` pair.
+    """
+    meta, arrays = artifact or FORMAT.read(path)
     try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        model.load_state_dict(arrays)
+    except ValueError as exc:
         raise CheckpointError(
-            f"unreadable checkpoint metadata {meta_path}: {exc}") from exc
-    version = meta.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path} has format_version {version!r}; this "
-            f"build reads version {CHECKPOINT_VERSION}")
-    if not arrays_path.is_file():
-        raise CheckpointError(f"checkpoint {path} is missing {ARRAYS_FILE}")
-    actual = _sha256_of(arrays_path)
-    if actual != meta.get("arrays_sha256"):
-        raise CheckpointError(
-            f"checkpoint {path} is corrupted: {ARRAYS_FILE} checksum "
-            f"mismatch")
-    return meta
+            f"checkpoint {path} arrays do not match "
+            f"{type(model).__name__}: {exc}") from exc
+    model.rng.bit_generator.state = meta["rng_state"]
+    model.loss_history = [float(x) for x in meta.get("loss_history", [])]
 
 
 def load_checkpoint(path, *,
@@ -159,7 +131,7 @@ def load_checkpoint(path, *,
     to the never-serialized model continuing in place.
     """
     path = Path(path)
-    meta = read_checkpoint_meta(path)
+    meta, arrays = FORMAT.read(path)
     models = _model_registry()
     model_class = meta.get("model_class")
     if model_class not in models:
@@ -192,16 +164,7 @@ def load_checkpoint(path, *,
         raise CheckpointError(
             f"checkpoint {path}: cannot construct {model_class}: "
             f"{exc}") from exc
-    with np.load(path / ARRAYS_FILE) as npz:
-        arrays = {key: npz[key] for key in npz.files}
-    try:
-        model.load_state_dict(arrays)
-    except ValueError as exc:
-        raise CheckpointError(
-            f"checkpoint {path} arrays do not match {model_class}: "
-            f"{exc}") from exc
-    model.rng.bit_generator.state = meta["rng_state"]
-    model.loss_history = [float(x) for x in meta.get("loss_history", [])]
+    restore_checkpoint(model, path, (meta, arrays))
     if dataset is not None and split is not None:
         model.prepare(dataset, split)
     return model

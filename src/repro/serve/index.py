@@ -25,21 +25,17 @@ global popularity ranking (the unknown-user fallback).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from pathlib import Path
 from typing import Dict, Optional
 
 import numpy as np
 
+from repro.artifact import ArtifactFormat
 from repro.data.dataset import InteractionDataset, Split
 from repro.eval.evaluator import csr_row_coords
 from repro.manifolds.scoring import score_rows
 
 INDEX_VERSION = 1
-
-ARRAYS_FILE = "index.npz"
-META_FILE = "index.json"
 
 # Array-slot names per score kind; every listed slot must be present.
 _KIND_SLOTS = {
@@ -56,6 +52,10 @@ _KIND_SLOTS = {
 
 class IndexFormatError(Exception):
     """An index could not be read: missing, corrupted, or wrong version."""
+
+
+FORMAT = ArtifactFormat("index.npz", "index.json", "index",
+                        IndexFormatError, INDEX_VERSION)
 
 
 class RetrievalIndex:
@@ -167,32 +167,13 @@ class RetrievalIndex:
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path) -> Path:
-        path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
-        arrays_path = path / ARRAYS_FILE
         payload = {f"slot:{k}": v for k, v in self.arrays.items()}
         payload["train_indptr"] = self.train_indptr
         payload["train_indices"] = self.train_indices
         payload["popularity"] = self.popularity
-        np.savez(arrays_path, **payload)
-        meta = {
-            "format_version": INDEX_VERSION,
-            "kind": self.kind,
-            "scalars": self.scalars,
-            "meta": self.meta,
-            "arrays_sha256": _sha256_of(arrays_path),
-        }
-        with open(path / META_FILE, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-        return path
-
-
-def _sha256_of(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return FORMAT.write(path, payload, {"kind": self.kind,
+                                            "scalars": self.scalars,
+                                            "meta": self.meta})
 
 
 def build_index(model, dataset: InteractionDataset,
@@ -222,29 +203,7 @@ def build_index(model, dataset: InteractionDataset,
 
 def load_index(path) -> RetrievalIndex:
     """Load a saved index; validates version and checksum."""
-    path = Path(path)
-    meta_path = path / META_FILE
-    arrays_path = path / ARRAYS_FILE
-    if not meta_path.is_file():
-        raise IndexFormatError(f"no index at {path} (missing {META_FILE})")
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IndexFormatError(
-            f"unreadable index metadata {meta_path}: {exc}") from exc
-    version = meta.get("format_version")
-    if version != INDEX_VERSION:
-        raise IndexFormatError(
-            f"index {path} has format_version {version!r}; this build "
-            f"reads version {INDEX_VERSION}")
-    if not arrays_path.is_file():
-        raise IndexFormatError(f"index {path} is missing {ARRAYS_FILE}")
-    if _sha256_of(arrays_path) != meta.get("arrays_sha256"):
-        raise IndexFormatError(
-            f"index {path} is corrupted: {ARRAYS_FILE} checksum mismatch")
-    with np.load(arrays_path) as npz:
-        payload = {key: npz[key] for key in npz.files}
+    meta, payload = FORMAT.read(path)
     arrays = {key[len("slot:"):]: value for key, value in payload.items()
               if key.startswith("slot:")}
     try:

@@ -560,6 +560,34 @@ class TestOnlineLoop:
         assert record2["swap"]["version"] == 3
         assert again.status()["n_interactions"] == n_after_first + 15
 
+    def test_snapshot_write_dying_partway_keeps_previous(
+            self, dataset, tmp_path, monkeypatch):
+        """An ingest whose snapshot write dies after two of the arrays
+        leaves the previous ``dataset.npz`` loadable by a restart."""
+        from numpy.lib import format as npy_format
+
+        save_dataset(dataset, tmp_path / "dataset")
+        loop = OnlineLoop(tmp_path, seed=0)
+        loop.append_events(simulate_events(loop.dataset, 5, seed=1))
+        write_array = npy_format.write_array
+        calls = []
+
+        def dies_on_third_array(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("simulated kill during the snapshot write")
+            return write_array(*args, **kwargs)
+
+        monkeypatch.setattr(npy_format, "write_array", dies_on_third_array)
+        with pytest.raises(OSError, match="simulated kill"):
+            loop.ingest()
+        monkeypatch.undo()
+
+        restarted = OnlineLoop(tmp_path, seed=0)
+        assert restarted.dataset.n_interactions == dataset.n_interactions
+        assert not (tmp_path / "dataset.npz.tmp").exists()
+        assert restarted.ingest()["n_appended"] == 5
+
     def test_append_events_accepts_a_generator(self, tmp_path):
         loop = OnlineLoop(tmp_path, seed=0)
         events = simulate_events(loop.dataset, 5, seed=1)

@@ -11,6 +11,8 @@ The two acceptance bars of the robustness subsystem:
   breaker trips, and fallbacks land in counters instead of exceptions.
 """
 
+import json
+import shutil
 import zlib
 
 import numpy as np
@@ -23,8 +25,8 @@ from repro.robust import (BreakerPolicy, CircuitBreaker, FaultPlan,
                           RetryPolicy, SimulatedCrash,
                           TrainingDivergedError, TrainingSupervisor,
                           has_fit_state)
-from repro.serve import (RecommendService, ServiceConfig, build_index,
-                         load_checkpoint)
+from repro.serve import (CheckpointError, RecommendService,
+                         ServiceConfig, build_index, load_checkpoint)
 
 EPOCHS = 3
 
@@ -155,6 +157,43 @@ class TestKillResume:
             assert np.array_equal(resumed.state_dict()[key], value), (
                 f"{name}: parameter {key} not bit-identical after "
                 f"kill/resume")
+
+
+    def test_torn_checkpoint_sidecar_pair_is_not_resumed(self, setup,
+                                                          tmp_path):
+        """A kill between the checkpoint write and the sidecar write
+        leaves an epoch-2 checkpoint beside an epoch-1 sidecar.  Both
+        checksums pass; the pairing field must refuse the resume."""
+        ds, split = setup
+        for kill_epoch in (0, 1):
+            model = build_model("BPRMF", ds, seed=0)
+            model.config.epochs = EPOCHS
+            plan = FaultPlan([FaultSpec("kill", epoch=kill_epoch)])
+            with pytest.raises(SimulatedCrash):
+                model.fit(ds, split, supervisor=_supervised(
+                    {"checkpoint_dir": tmp_path / f"k{kill_epoch}",
+                     "checkpoint_every": 1}, fault_plan=plan))
+        torn = tmp_path / "k1"
+        for name in ("fit_state.json", "fit_state.npz"):
+            shutil.copy(tmp_path / "k0" / name, torn / name)
+
+        resumed = load_checkpoint(torn, dataset=ds, split=split)
+        assert len(resumed.loss_history) == 2
+        with pytest.raises(CheckpointError,
+                           match="served but not resumed"):
+            resumed.fit(ds, split, supervisor=_supervised(
+                {"checkpoint_dir": torn, "resume": True}))
+
+        # A sidecar that records no checkpoint cannot be paired either.
+        meta_path = tmp_path / "k0" / "fit_state.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["checkpoint_sha256"]
+        meta_path.write_text(json.dumps(meta))
+        resumed = load_checkpoint(tmp_path / "k0", dataset=ds, split=split)
+        with pytest.raises(CheckpointError,
+                           match="served but not resumed"):
+            resumed.fit(ds, split, supervisor=_supervised(
+                {"checkpoint_dir": tmp_path / "k0", "resume": True}))
 
 
 # ----------------------------------------------------------------------

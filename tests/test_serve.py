@@ -14,12 +14,16 @@ The two load-bearing guarantees under test:
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.data import SyntheticConfig, generate_dataset, temporal_split
 from repro.experiments.runner import ALL_MODEL_NAMES, build_model
+from repro.models.base import FitState
+from repro.robust import (ResilienceConfig, TrainingSupervisor,
+                          load_fit_state)
 from repro.serve import (CheckpointError, IndexFormatError,
                          RecommendService, ServiceConfig, build_index,
                          load_checkpoint, load_index, save_checkpoint)
@@ -80,32 +84,86 @@ class TestCheckpointRoundTrip:
         assert meta["extra_init"] == {"l2": model.l2}
 
 
+@pytest.fixture(scope="module")
+def artifacts(setup, tmp_path_factory):
+    """A trained BPRMF's auto-checkpoint (checkpoint + fit_state sidecar)
+    and its index, saved once; each rejection case damages a copy."""
+    ds, split = setup
+    root = tmp_path_factory.mktemp("artifacts")
+    model = build_model("BPRMF", ds, seed=0)
+    model.config.epochs = 2
+    model.fit(ds, split, supervisor=TrainingSupervisor(
+        ResilienceConfig(checkpoint_dir=root / "ck")))
+    build_index(model, ds, split).save(root / "idx")
+    return model, root
+
+
+# artifact -> (saved directory, manifest, arrays file, loader, error,
+#              what a missing manifest is called)
+_ARTIFACTS = {
+    "checkpoint": ("ck", "checkpoint.json", "arrays.npz",
+                   lambda model, path: load_checkpoint(path),
+                   CheckpointError, "no checkpoint"),
+    "index": ("idx", "index.json", "index.npz",
+              lambda model, path: load_index(path),
+              IndexFormatError, "no index"),
+    "fit_state": ("ck", "fit_state.json", "fit_state.npz",
+                  lambda model, path: load_fit_state(
+                      path, model.make_optimizer(), FitState()),
+                  CheckpointError, "no fit_state"),
+}
+
+
+def _drop_manifest(manifest, arrays):
+    manifest.unlink()
+
+
+def _unreadable_json(manifest, arrays):
+    manifest.write_text("{not json")
+
+
+def _wrong_version(manifest, arrays):
+    meta = json.loads(manifest.read_text())
+    meta["format_version"] = 99
+    manifest.write_text(json.dumps(meta))
+
+
+def _flip_one_byte(manifest, arrays):
+    blob = bytearray(arrays.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    arrays.write_bytes(bytes(blob))
+
+
+_FAULTS = {
+    "manifest_missing": (_drop_manifest, None),
+    "unreadable_json": (_unreadable_json, "unreadable"),
+    "wrong_version": (_wrong_version, "format_version"),
+    "corrupted_byte": (_flip_one_byte, "corrupted"),
+}
+
+
+class TestArtifactRejection:
+    """Every persisted artifact rejects every damage with its own typed
+    error and a one-line reason, never a silently wrong load."""
+
+    @pytest.mark.parametrize("fault", list(_FAULTS))
+    @pytest.mark.parametrize("artifact", list(_ARTIFACTS))
+    def test_rejected(self, artifacts, tmp_path, artifact, fault):
+        model, root = artifacts
+        subdir, manifest, arrays, load, error, missing = \
+            _ARTIFACTS[artifact]
+        damage, match = _FAULTS[fault]
+        path = tmp_path / subdir
+        shutil.copytree(root / subdir, path)
+        damage(path / manifest, path / arrays)
+        with pytest.raises(error, match=match or missing):
+            load(model, path)
+
+
 class TestCheckpointRejection:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint"):
             load_checkpoint(tmp_path / "nope")
-
-    def test_version_mismatch(self, setup, tmp_path):
-        ds, split = setup
-        path = save_checkpoint(_trained("BPRMF", ds, split),
-                               tmp_path / "ck", dataset=ds)
-        meta_path = path / "checkpoint.json"
-        meta = json.loads(meta_path.read_text())
-        meta["format_version"] = 99
-        meta_path.write_text(json.dumps(meta))
-        with pytest.raises(CheckpointError, match="format_version"):
-            load_checkpoint(path)
-
-    def test_corrupted_arrays(self, setup, tmp_path):
-        ds, split = setup
-        path = save_checkpoint(_trained("BPRMF", ds, split),
-                               tmp_path / "ck", dataset=ds)
-        arrays_path = path / "arrays.npz"
-        blob = bytearray(arrays_path.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        arrays_path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="corrupted"):
-            load_checkpoint(path)
 
     def test_unknown_model_class(self, setup, tmp_path):
         ds, split = setup
@@ -116,14 +174,6 @@ class TestCheckpointRejection:
         meta["model_class"] = "NotAModel"
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(CheckpointError, match="unknown model class"):
-            load_checkpoint(path)
-
-    def test_truncated_json(self, setup, tmp_path):
-        ds, split = setup
-        path = save_checkpoint(_trained("BPRMF", ds, split),
-                               tmp_path / "ck", dataset=ds)
-        (path / "checkpoint.json").write_text("{not json")
-        with pytest.raises(CheckpointError, match="unreadable"):
             load_checkpoint(path)
 
 
@@ -184,17 +234,6 @@ class TestIndexAndEngine:
         assert service.stats["cache_hits"] == 1
         service.query(0)                       # evicted -> rescored
         assert service.stats["cache_misses"] == 9
-
-    def test_index_corruption_rejected(self, setup, tmp_path):
-        ds, split = setup
-        model = _trained("BPRMF", ds, split)
-        build_index(model, ds, split).save(tmp_path / "idx")
-        npz = tmp_path / "idx" / "index.npz"
-        blob = bytearray(npz.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        npz.write_bytes(bytes(blob))
-        with pytest.raises(IndexFormatError, match="corrupted"):
-            load_index(tmp_path / "idx")
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(IndexFormatError, match="no index"):
