@@ -17,7 +17,10 @@
 #              benchmarks/ must collect and every
 #              examples/*.py must import, because the tier-1 tests
 #              import neither and a deleted library name they still
-#              use would otherwise pass;
+#              use would otherwise pass; every `python -m repro` line
+#              of README.md and scripts/reproduce_all.sh must parse
+#              with repro.cli.build_parser, and cli.py prints
+#              `error: {exc}` only in main (one error→exit-code table);
 #   2. tests — the tier-1 pytest suite;
 #   3. smoke — a tiny --telemetry training run must leave a readable
 #              manifest + event log that `repro obs summarize` renders;
@@ -197,6 +200,62 @@ for path in sorted(pathlib.Path("examples").glob("*.py")):
         f"example_{path.stem}", path)
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
 EOF
+echo "ok"
+
+echo "== documented commands parse, one CLI error exit =="
+python - <<'EOF'
+import pathlib
+import re
+import shlex
+import sys
+
+from repro.cli import build_parser
+
+# A line that runs the CLI, after its env prefix (REPRO_BACKEND=fast).
+COMMAND = re.compile(r"^\s*(?:[A-Za-z_]\w*=\S*\s+)*python3? -m repro\b(.*)$")
+STOP = {"|", "||", "&", "&&", ";", ">", ">>", "2>&1"}
+failed = []
+for name in ("README.md", "scripts/reproduce_all.sh"):
+    lines = pathlib.Path(name).read_text().splitlines()
+    end = 0
+    while end < len(lines):
+        start, line = end, lines[end]
+        while line.endswith("\\") and end + 1 < len(lines):
+            end += 1
+            line = line[:-1] + " " + lines[end]
+        end += 1
+        match = COMMAND.match(line)
+        if not match:
+            continue
+        argv = []
+        for token in shlex.split(match.group(1), comments=True):
+            if token in STOP:
+                break
+            if "$" in token:
+                # A shell expansion stands in as 1 where it is an
+                # option's value ("--workers $(nproc)"), else drops out.
+                if argv and argv[-1].startswith("--"):
+                    argv.append("1")
+                continue
+            argv.append(token)
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            failed.append(f"{name}:{start + 1}: {line.strip()}")
+if failed:
+    print("documented command does not parse with repro.cli:")
+    print("\n".join(failed))
+    sys.exit(1)
+EOF
+violations=$(awk '/^(def|class) / { inside = /^def main[(]/ }
+    !inside && /print[(]f"error: [{]exc[}]"/ {
+        print FILENAME ":" FNR ":" $0 }' src/repro/cli.py)
+if [ -n "$violations" ]; then
+    echo "per-command error exit in cli.py (let the exception reach" \
+         "main, whose _exit_code table maps it to an exit code):"
+    echo "$violations"
+    exit 1
+fi
 echo "ok"
 
 echo "== tier-1 tests =="

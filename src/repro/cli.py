@@ -4,17 +4,15 @@ Commands
 --------
 stats        Print Table-I statistics for the named datasets.
 train        Train one zoo model on one dataset and report test metrics.
-exp          Resumable experiment DAG: declare an ExperimentSpec
-             (``run``), inspect completion against the node cache
-             (``status``, exit 0 complete / 1 partial / 2 nothing run),
-             continue a killed run bit-identically (``resume``), or
-             drop the cache (``clean``).  ``--workers N`` fans training
-             out over a process pool; every cached node is skipped on
-             rerun.
-compare      Run a Table-II style comparison (wrapper over ``exp run``).
-ablation     Run the Table-III ablation variants (wrapper over
-             ``exp run``).
-cases        Print Table-V style case studies (wrapper over ``exp run``).
+exp          Resumable experiment DAG, the one path to every paper
+             table: declare an ExperimentSpec (``run --kind
+             comparison|ablation|sweep|lambda|robustness|cases|grid``),
+             inspect completion against the node cache (``status``,
+             exit 0 complete / 1 partial / 2 nothing run), continue a
+             killed run bit-identically (``resume``), or drop the cache
+             (``clean``).  ``--workers N`` fans training out over a
+             process pool; every cached node is skipped on rerun;
+             ``--ephemeral`` keeps nothing.
 obs          Telemetry utilities: summarize (``--json`` for machines) /
              list run directories, export a Chrome/Perfetto trace
              (``export-trace``), evaluate service-level objectives
@@ -39,21 +37,30 @@ online       Online learning: append/ingest journal events
              ingest→finetune→swap cycle (``run``), or inspect the loop
              state (``status``).  All state lives under ``--workdir``.
 
-``train``, ``compare``, and ``serve bench`` accept ``--telemetry``
-(record spans, metrics, and a run manifest under ``runs/<run_id>/``),
-``--trace`` (telemetry plus NaN/inf gradient scanning in the autograd
-engine), and ``--profile`` (telemetry plus a sampling profiler writing
-``profile.collapsed``).  ``train`` also
+``train``, ``exp run|resume``, ``serve bench|http`` and ``online run``
+accept ``--telemetry`` (record spans, metrics, and a run manifest under
+``runs/<run_id>/``), ``--trace`` (telemetry plus NaN/inf gradient
+scanning in the autograd engine), and ``--profile`` (telemetry plus a
+sampling profiler writing ``profile.collapsed``).  ``train`` also
 accepts ``--checkpoint-dir`` (auto-checkpoint every N epochs with
 NaN/divergence rollback) and ``--resume`` (continue a killed run from
 its auto-checkpoint, bit-identically).
 
-``train``, ``compare``, ``ablation``, and ``cases`` accept ``--backend
+``train`` and ``exp run|status|resume`` accept ``--backend
 {reference,fast}`` to pick the tensor execution backend (see
 ``repro.tensor.backend``): ``reference`` is the bit-identical float64
 engine, ``fast`` enables float32 compute with fused hyperbolic kernels
 (~3-4x train-step throughput, metrics equal within tolerance).  The
 ``REPRO_BACKEND`` environment variable sets the default.
+
+A flag that sets a config field (``ExperimentSpec``,
+``ResilienceConfig``, ``FrontendConfig``, ``ServiceConfig``) defaults
+to ``None`` and is passed on only when given, so the dataclass owns the
+default.  Exit codes: 0 on success; the command's own contract where it
+states one (``exp status``, ``obs slo``, the drills, 3 for a simulated
+kill); otherwise :func:`_exit_code` is the one table of expected
+failures, each reported as one ``error: ...`` line on stderr.  Any
+other exception propagates with its traceback.
 
 This module is the presentation layer: its ``print`` calls are the
 command output and are allowlisted by the ``scripts/ci.sh`` lint gate;
@@ -66,14 +73,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dataset", default="cd",
-                        choices=["ciao", "cd", "clothing", "book"])
-    parser.add_argument("--epochs", type=int, default=None,
-                        help="override the tuned epoch budget")
-    parser.add_argument("--seed", type=int, default=0)
-    _add_backend(parser)
+from repro.experiments.dag.spec import ALL_DATASETS, SPEC_KINDS
 
 
 def _add_backend(parser: argparse.ArgumentParser) -> None:
@@ -97,6 +97,13 @@ def _add_telemetry(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--run-dir", default="runs",
                         help="base directory for run artifacts "
                              "(default: runs/)")
+
+
+def _given(**values) -> dict:
+    """The config fields among ``values`` that the user set (not
+    ``None``); the dataclass they build keeps its own defaults."""
+    return {name: value for name, value in values.items()
+            if value is not None}
 
 
 # The active --profile sampler; one CLI invocation runs one command, so
@@ -147,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     stats = sub.add_parser("stats", help="dataset statistics (Table I)")
-    stats.add_argument("--datasets", nargs="*",
-                       default=["ciao", "cd", "clothing", "book"])
+    stats.add_argument("--datasets", nargs="*", default=list(ALL_DATASETS))
 
     train = sub.add_parser("train", help="train one model")
     train.add_argument("model", help="zoo model name, e.g. LogiRec++")
@@ -159,19 +165,23 @@ def build_parser() -> argparse.ArgumentParser:
                        help="auto-checkpoint during training and roll "
                             "back to the last good checkpoint on "
                             "NaN/divergence")
-    train.add_argument("--checkpoint-every", type=int, default=5,
+    train.add_argument("--checkpoint-every", type=int, default=None,
                        metavar="N", help="epochs between auto-"
                                          "checkpoints (default: 5)")
     train.add_argument("--resume", action="store_true",
                        help="continue an interrupted run from "
                             "--checkpoint-dir (bit-identical to an "
                             "uninterrupted run)")
-    train.add_argument("--max-retries", type=int, default=3,
+    train.add_argument("--max-retries", type=int, default=None,
                        help="divergence rollback budget (default: 3)")
-    train.add_argument("--lr-backoff", type=float, default=0.5,
+    train.add_argument("--lr-backoff", type=float, default=None,
                        help="learning-rate multiplier applied on each "
                             "rollback (default: 0.5)")
-    _add_common(train)
+    train.add_argument("--dataset", default="cd", choices=ALL_DATASETS)
+    train.add_argument("--epochs", type=int, default=None,
+                       help="override the tuned epoch budget")
+    train.add_argument("--seed", type=int, default=0)
+    _add_backend(train)
     _add_telemetry(train)
 
     exp_cmd = sub.add_parser(
@@ -185,16 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: exp_cache)")
 
     def _add_spec_flags(p):
+        # Each flag's dest is an ExperimentSpec field; an omitted flag
+        # stays None and the spec fills the kind's default.
         p.add_argument("--spec", default=None, metavar="FILE",
                        help="JSON ExperimentSpec file (overrides the "
                             "spec flags below)")
-        p.add_argument("--kind", default="comparison",
-                       choices=["comparison", "ablation", "sweep",
-                                "lambda", "robustness", "cases", "grid"])
+        p.add_argument("--kind", default=None, choices=SPEC_KINDS)
         p.add_argument("--models", nargs="*", default=None,
                        help="[comparison/grid] zoo models (default: all)")
         p.add_argument("--datasets", nargs="*", default=None,
-                       choices=["ciao", "cd", "clothing", "book"],
+                       choices=ALL_DATASETS,
                        help="datasets (default: the kind's paper choice)")
         p.add_argument("--variants", nargs="*", default=None,
                        help="[ablation/grid] Table-III variants "
@@ -206,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="[lambda/grid] λ grid")
         p.add_argument("--fractions", nargs="*", type=float, default=None,
                        help="[robustness/grid] corruption fractions")
-        p.add_argument("--baseline", default="HRCF",
+        p.add_argument("--baseline", default=None,
                        help="[lambda/grid] fixed comparison model")
-        p.add_argument("--seeds", nargs="*", type=int, default=[0])
+        p.add_argument("--seeds", nargs="*", type=int, default=None)
         p.add_argument("--ks", nargs="*", type=int, default=None,
                        help="ranking cutoffs (default: 10 20)")
         p.add_argument("--epochs", type=int, default=None,
                        help="budget override for every training node")
-        p.add_argument("--scale", type=float, default=1.0)
+        p.add_argument("--scale", type=float, default=None)
         _add_backend(p)
 
     exp_run = exp_sub.add_parser(
@@ -256,43 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp_clean = exp_sub.add_parser(
         "clean", help="drop every cached node result and spec record")
     _add_workdir(exp_clean)
-
-    compare = sub.add_parser(
-        "compare", help="Table-II comparison (wrapper over `repro exp "
-                        "run --kind comparison`)")
-    compare.add_argument("--models", nargs="*", default=None)
-    compare.add_argument("--datasets", nargs="*", default=["ciao", "cd"])
-    compare.add_argument("--epochs", type=int, default=None)
-    compare.add_argument("--seeds", nargs="*", type=int, default=[0])
-    compare.add_argument("--workdir", default=None, metavar="DIR",
-                         help="cache/resume directory (default: "
-                              "ephemeral; see `repro exp run`)")
-    compare.add_argument("--workers", type=int, default=0,
-                         help="process-pool width (needs --workdir)")
-    _add_backend(compare)
-    _add_telemetry(compare)
-
-    ablation = sub.add_parser(
-        "ablation", help="Table-III ablations (wrapper over `repro exp "
-                         "run --kind ablation`)")
-    _add_common(ablation)
-    ablation.add_argument("--workdir", default=None, metavar="DIR",
-                          help="cache/resume directory (default: "
-                               "ephemeral; see `repro exp run`)")
-    ablation.add_argument("--workers", type=int, default=0,
-                          help="process-pool width (needs --workdir)")
-    _add_telemetry(ablation)
-
-    cases = sub.add_parser(
-        "cases", help="Table-V case studies (wrapper over `repro exp "
-                      "run --kind cases`)")
-    _add_common(cases)
-    cases.add_argument("--workdir", default=None, metavar="DIR",
-                       help="cache/resume directory (default: "
-                            "ephemeral; see `repro exp run`)")
-    cases.add_argument("--workers", type=int, default=0,
-                       help="process-pool width (needs --workdir)")
-    _add_telemetry(cases)
 
     obs_cmd = sub.add_parser("obs", help="telemetry run utilities")
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
@@ -338,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(from `repro serve export`)")
     qry.add_argument("--users", required=True,
                      help="comma-separated user ids, e.g. 0,7,12")
-    qry.add_argument("--k", type=int, default=10)
+    qry.add_argument("--k", type=int, default=None)
     qry.add_argument("--no-cache", action="store_true",
                      help="disable the LRU response cache")
     bch = serve_sub.add_parser("bench",
                                help="serving latency/QPS micro-benchmark")
     bch.add_argument("--model", default="LogiRec++")
     bch.add_argument("--dataset", default="ciao",
-                     choices=["ciao", "cd", "clothing", "book"])
+                     choices=ALL_DATASETS)
     bch.add_argument("--epochs", type=int, default=3)
     bch.add_argument("--requests", type=int, default=100)
     bch.add_argument("--k", type=int, default=10)
@@ -366,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     htp.add_argument("--status", action="store_true",
                      help="query a running front-end's /status instead "
                           "of starting one (requires --port)")
-    htp.add_argument("--workers", type=int, default=2,
+    htp.add_argument("--workers", type=int, default=None,
                      help="worker processes / index shards (default 2)")
     htp.add_argument("--host", default="127.0.0.1")
     htp.add_argument("--port", type=int, default=0,
@@ -375,12 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     htp.add_argument("--port-file", default=None, metavar="FILE",
                      help="write the bound port here once listening "
                           "(for scripts that pass --port 0)")
-    htp.add_argument("--k", type=int, default=10,
+    htp.add_argument("--k", type=int, default=None,
                      help="default list length when ?k= is omitted")
-    htp.add_argument("--deadline-ms", type=float, default=250.0,
+    htp.add_argument("--deadline-ms", type=float, default=None,
                      help="default per-request deadline budget; <=0 "
                           "disables deadlines")
-    htp.add_argument("--queue-depth", type=int, default=256,
+    htp.add_argument("--queue-depth", type=int, default=None,
                      help="admission bound: max in-flight requests "
                           "before shedding (429)")
     htp.add_argument("--wait-budget-ms", type=float, default=None,
@@ -401,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         "train", help="NaN/kill faults against supervised training")
     itr.add_argument("--model", default="BPRMF")
     itr.add_argument("--dataset", default="cd",
-                     choices=["ciao", "cd", "clothing", "book"])
+                     choices=ALL_DATASETS)
     itr.add_argument("--epochs", type=int, default=4)
     itr.add_argument("--checkpoint-dir", default="robust_ck",
                      metavar="DIR")
@@ -423,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="failing/slow scoring against the serving engine")
     isv.add_argument("--model", default="BPRMF")
     isv.add_argument("--dataset", default="cd",
-                     choices=["ciao", "cd", "clothing", "book"])
+                     choices=ALL_DATASETS)
     isv.add_argument("--epochs", type=int, default=2)
     isv.add_argument("--requests", type=int, default=100)
     isv.add_argument("--fail-rate", type=float, default=0.1)
@@ -485,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["journal_corrupt", "event_disorder",
                               "event_duplicate"])
     ist.add_argument("--dataset", default="cd",
-                     choices=["ciao", "cd", "clothing", "book"])
+                     choices=ALL_DATASETS)
     ist.add_argument("--events", type=int, default=20)
     ist.add_argument("--seed", type=int, default=0)
 
@@ -501,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: online_state)")
         p.add_argument("--model", default="BPRMF")
         p.add_argument("--dataset", default="cd",
-                       choices=["ciao", "cd", "clothing", "book"])
+                       choices=ALL_DATASETS)
         p.add_argument("--seed", type=int, default=0)
 
     oin = online_sub.add_parser(
@@ -585,10 +558,10 @@ def cmd_train(args) -> int:
             from repro.robust import (ResilienceConfig,
                                       TrainingSupervisor, has_fit_state)
             supervisor = TrainingSupervisor(ResilienceConfig(
-                checkpoint_dir=args.checkpoint_dir,
-                checkpoint_every=args.checkpoint_every,
-                max_retries=args.max_retries,
-                lr_backoff=args.lr_backoff, resume=args.resume))
+                checkpoint_dir=args.checkpoint_dir, resume=args.resume,
+                **_given(checkpoint_every=args.checkpoint_every,
+                         max_retries=args.max_retries,
+                         lr_backoff=args.lr_backoff)))
             if args.resume and has_fit_state(args.checkpoint_dir):
                 from repro.serve import load_checkpoint
                 model = load_checkpoint(args.checkpoint_dir,
@@ -601,15 +574,8 @@ def cmd_train(args) -> int:
         if args.epochs is not None:
             model.config.epochs = args.epochs
         evaluator = Evaluator(dataset, split)
-        try:
-            model.fit(dataset, split, evaluator=evaluator,
-                      supervisor=supervisor)
-        except Exception as exc:
-            from repro.robust import TrainingDivergedError
-            if isinstance(exc, TrainingDivergedError):
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            raise
+        model.fit(dataset, split, evaluator=evaluator,
+                  supervisor=supervisor)
         result = evaluator.evaluate_test(model)
     print(f"{args.model} on {args.dataset}: {result.summary()}")
     if supervisor is not None and supervisor.summary()["rollbacks"]:
@@ -628,92 +594,44 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _current_backend_name() -> str:
+def _spec(args):
+    """The ExperimentSpec an ``exp`` command names.
+
+    From ``--spec FILE``, else (``resume``) the newest spec recorded in
+    ``--workdir``, else the spec flags the user gave, with the current
+    backend; ``ExperimentSpec`` fills every omitted field.  ``--backend``
+    overrides the backend of all three.
+    """
+    import dataclasses
+
+    from repro.experiments.dag import ExperimentSpec, ResultStore, SpecError
     from repro.tensor.backend import get_backend
-    return get_backend().name
-
-
-def _spec_from_flags(args):
-    """Build the ExperimentSpec an ``exp``-style namespace describes."""
-    from repro.experiments.dag import ExperimentSpec
-    if getattr(args, "spec", None):
-        spec = ExperimentSpec.from_file(args.spec)
-        if args.backend and args.backend != spec.backend:
-            spec = ExperimentSpec.from_dict(
-                {**spec.to_dict(), "backend": args.backend})
-        return spec
-    return ExperimentSpec(
-        kind=args.kind,
-        models=tuple(args.models) if args.models else (),
-        datasets=tuple(args.datasets) if args.datasets else (),
-        variants=tuple(args.variants) if args.variants else (),
-        params=tuple(args.params) if args.params else (),
-        lambdas=tuple(args.lambdas) if args.lambdas else (),
-        fractions=tuple(args.fractions) if args.fractions else (),
-        baseline=args.baseline, seeds=tuple(args.seeds),
-        ks=tuple(args.ks) if args.ks else (10, 20),
-        epochs=args.epochs, scale=args.scale,
-        backend=args.backend or _current_backend_name())
-
-
-def _run_spec(args, spec, *, command: str, workdir, workers: int,
-              tables: bool = True, render=None) -> int:
-    """Shared execution path of ``exp run|resume`` and the wrappers."""
-    from repro import obs
-    from repro.experiments.dag import run_experiment
-    run = _maybe_start_run(args, command, kind=spec.kind,
-                           spec=spec.spec_hash(), workdir=workdir,
-                           workers=workers)
-    with obs.trace("run", command=command):
-        result = run_experiment(spec, workdir=workdir, workers=workers)
-    print(f"[exp] spec {spec.spec_hash()} ({spec.describe()})")
-    print(f"[exp] {result.stats.summary()}")
-    if workdir:
-        print(f"[exp] cached under {workdir} (inspect with: repro exp "
-              f"status --workdir {workdir}; rerun skips cached nodes)")
-    if tables:
-        print(result.format() if render is None else render(result))
-    final = {f"exp/{k}": float(v)
-             for k, v in result.stats.to_dict().items()
-             if isinstance(v, (int, float))}
-    _finish_run(run, final_metrics=final)
-    return 0
+    if args.spec:
+        record = ExperimentSpec.from_file(args.spec).to_dict()
+    elif args.exp_command == "resume":
+        recorded = ResultStore(args.workdir).recorded_specs()
+        if not recorded:
+            raise SpecError(f"nothing to resume under {args.workdir}; "
+                            f"start with `repro exp run` or pass --spec")
+        record = recorded[0].to_dict()
+    else:
+        record = _given(**{field.name: getattr(args, field.name)
+                           for field in dataclasses.fields(ExperimentSpec)})
+        record["backend"] = get_backend().name
+    if args.backend:
+        record["backend"] = args.backend
+    return ExperimentSpec.from_dict(record)
 
 
 def cmd_exp(args) -> int:
-    from repro.experiments.dag import (ExperimentSpec, ResultStore,
-                                       SpecError, clean_experiment,
-                                       experiment_status)
+    from repro import obs
+    from repro.experiments.dag import (clean_experiment, experiment_status,
+                                       run_experiment)
     if args.exp_command == "clean":
         n = clean_experiment(args.workdir)
         print(f"[exp] removed {n} cached node(s) under {args.workdir}")
         return 0
-    if args.exp_command == "resume":
-        if args.spec:
-            try:
-                spec = ExperimentSpec.from_file(args.spec)
-            except SpecError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        else:
-            recorded = ResultStore(args.workdir).recorded_specs()
-            if not recorded:
-                print(f"error: nothing to resume under {args.workdir}; "
-                      f"start with `repro exp run` or pass --spec",
-                      file=sys.stderr)
-                return 2
-            spec = recorded[0]
-        if args.backend and args.backend != spec.backend:
-            spec = ExperimentSpec.from_dict(
-                {**spec.to_dict(), "backend": args.backend})
-        return _run_spec(args, spec, command="exp_resume",
-                         workdir=args.workdir, workers=args.workers,
-                         tables=not args.no_tables)
-    try:
-        spec = _spec_from_flags(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _spec(args)
     if args.exp_command == "status":
         status = experiment_status(spec, args.workdir)
         by_kind = {}
@@ -729,57 +647,26 @@ def cmd_exp(args) -> int:
                 done, total = by_kind[kind]
                 print(f"  {kind}: {done}/{total}")
         return {"complete": 0, "partial": 1, "empty": 2}[status["state"]]
-    # exp run
-    workdir = None if args.ephemeral else args.workdir
-    return _run_spec(args, spec, command="exp_run", workdir=workdir,
-                     workers=args.workers, tables=not args.no_tables)
-
-
-def cmd_compare(args) -> int:
-    from repro.experiments.dag import ExperimentSpec, SpecError
-    try:
-        spec = ExperimentSpec(
-            kind="comparison",
-            models=tuple(args.models) if args.models else (),
-            datasets=tuple(args.datasets), seeds=tuple(args.seeds),
-            epochs=args.epochs,
-            backend=args.backend or _current_backend_name())
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _run_spec(args, spec, command="compare",
-                     workdir=args.workdir, workers=args.workers)
-
-
-def cmd_ablation(args) -> int:
-    from repro.experiments.dag import ExperimentSpec, SpecError
-    try:
-        spec = ExperimentSpec(
-            kind="ablation", datasets=(args.dataset,),
-            seeds=(args.seed,), epochs=args.epochs,
-            backend=args.backend or _current_backend_name())
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _run_spec(args, spec, command="ablation",
-                     workdir=args.workdir, workers=args.workers)
-
-
-def cmd_cases(args) -> int:
-    from repro.experiments.cases import format_case_table
-    from repro.experiments.dag import ExperimentSpec, SpecError
-    try:
-        spec = ExperimentSpec(
-            kind="cases", datasets=(args.dataset,), seeds=(args.seed,),
-            epochs=args.epochs,
-            backend=args.backend or _current_backend_name())
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _run_spec(
-        args, spec, command="cases", workdir=args.workdir,
-        workers=args.workers,
-        render=lambda result: format_case_table(result.cases()))
+    # exp run | resume
+    command = f"exp_{args.exp_command}"
+    workdir = None if getattr(args, "ephemeral", False) else args.workdir
+    run = _maybe_start_run(args, command, kind=spec.kind,
+                           spec=spec.spec_hash(), workdir=workdir,
+                           workers=args.workers)
+    with obs.trace("run", command=command):
+        result = run_experiment(spec, workdir=workdir, workers=args.workers)
+    print(f"[exp] spec {spec.spec_hash()} ({spec.describe()})")
+    print(f"[exp] {result.stats.summary()}")
+    if workdir:
+        print(f"[exp] cached under {workdir} (inspect with: repro exp "
+              f"status --workdir {workdir}; rerun skips cached nodes)")
+    if not args.no_tables:
+        print(result.format())
+    final = {f"exp/{k}": float(v)
+             for k, v in result.stats.to_dict().items()
+             if isinstance(v, (int, float))}
+    _finish_run(run, final_metrics=final)
+    return 0
 
 
 def cmd_obs(args) -> int:
@@ -787,12 +674,11 @@ def cmd_obs(args) -> int:
     import pathlib
 
     from repro import obs
+    run_dir = pathlib.Path(args.run_dir)
+    if not run_dir.is_dir():
+        print(f"error: no run directory at {run_dir}", file=sys.stderr)
+        return 2
     if args.obs_command == "summarize":
-        run_dir = pathlib.Path(args.run_dir)
-        if not run_dir.is_dir():
-            print(f"error: no run directory at {run_dir}",
-                  file=sys.stderr)
-            return 2
         if (obs.read_manifest(run_dir) is None
                 and not obs.read_events(run_dir)):
             print(f"error: {run_dir} contains no run artifacts "
@@ -805,36 +691,17 @@ def cmd_obs(args) -> int:
             print(obs.summarize(run_dir))
         return 0
     if args.obs_command == "export-trace":
-        run_dir = pathlib.Path(args.run_dir)
-        if not run_dir.is_dir():
-            print(f"error: no run directory at {run_dir}",
-                  file=sys.stderr)
-            return 2
-        try:
-            out = obs.export_chrome_trace(run_dir, out=args.out)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        out = obs.export_chrome_trace(run_dir, out=args.out)
         print(f"[trace] {out} (open in chrome://tracing or "
               f"https://ui.perfetto.dev)")
         return 0
     if args.obs_command == "slo":
-        from repro.obs.slo import (SloConfigError, evaluate_run,
-                                   format_report, load_slo_config)
-        run_dir = pathlib.Path(args.run_dir)
-        if not run_dir.is_dir():
-            print(f"error: no run directory at {run_dir}",
-                  file=sys.stderr)
-            return 2
+        from repro.obs.slo import (evaluate_run, format_report,
+                                   load_slo_config)
         config_path = args.config
         if config_path is None and (run_dir / "slo.json").is_file():
             config_path = run_dir / "slo.json"
-        try:
-            objectives = load_slo_config(config_path)
-        except SloConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        report = evaluate_run(run_dir, objectives)
+        report = evaluate_run(run_dir, load_slo_config(config_path))
         if report is None:
             print(f"error: {run_dir} has no manifest.json (run did not "
                   f"finish); nothing to evaluate", file=sys.stderr)
@@ -848,11 +715,6 @@ def cmd_obs(args) -> int:
         return 0 if report["passed"] else 1
     if args.obs_command == "profile":
         from repro.obs.profile import PROFILE_FILENAME, render_profile
-        run_dir = pathlib.Path(args.run_dir)
-        if not run_dir.is_dir():
-            print(f"error: no run directory at {run_dir}",
-                  file=sys.stderr)
-            return 2
         path = run_dir / PROFILE_FILENAME
         if not path.is_file():
             print(f"error: no {PROFILE_FILENAME} in {run_dir} "
@@ -860,13 +722,9 @@ def cmd_obs(args) -> int:
             return 2
         print(render_profile(path, top=args.top))
         return 0
-    base = pathlib.Path(args.run_dir)
-    if not base.is_dir():
-        print(f"error: no run directory at {base}", file=sys.stderr)
-        return 2
-    lines = obs.list_runs(base)
+    lines = obs.list_runs(run_dir)
     if not lines:
-        print(f"error: no runs recorded under {base}/", file=sys.stderr)
+        print(f"error: no runs recorded under {run_dir}/", file=sys.stderr)
         return 2
     for line in lines:
         print(line)
@@ -874,63 +732,50 @@ def cmd_obs(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.serve import (CheckpointError, IndexFormatError,
-                             RecommendService, ServiceConfig, build_index,
-                             load_index)
-    try:
-        if args.serve_command == "export":
-            return _serve_export(args, build_index)
-        if args.serve_command == "query":
-            index = load_index(args.index)
-            service = RecommendService(index, ServiceConfig(
-                k=args.k, cache_size=0 if args.no_cache else 1024))
-            users = [int(u) for u in args.users.split(",") if u.strip()]
-            for response in service.query_batch(users, k=args.k):
-                items = " ".join(str(i) for i in response["items"])
-                note = f" ({response['source']} fallback)" \
-                    if response["fallback"] else ""
-                print(f"user {response['user_id']}: {items}{note}")
-            return 0
-        if args.serve_command == "http":
-            return _serve_http(args, load_index)
-        from repro.serve.bench import format_results, run_serve_benchmark
-        run = _maybe_start_run(args, "serve_bench", model=args.model,
-                               dataset=args.dataset,
-                               requests=args.requests)
-        results = run_serve_benchmark(
-            model_name=args.model, dataset_name=args.dataset,
-            epochs=args.epochs, n_requests=args.requests, k=args.k,
-            index_path=args.index,
-            frontend_workers=args.frontend_workers)
-        print(format_results(results))
-        final = {"indexed/p99_ms": results["indexed"]["p99_ms"],
-                 "indexed/qps": results["indexed"]["qps"]}
-        if results.get("speedup_indexed_vs_naive"):
-            final["speedup"] = results["speedup_indexed_vs_naive"]
-        frontend = results.get("frontend")
-        if frontend is not None:
-            final["frontend/capacity_qps"] = frontend["capacity_qps"]
-        _finish_run(run, final_metrics=final)
+    if args.serve_command == "export":
+        return _serve_export(args)
+    if args.serve_command == "http":
+        return _serve_http(args)
+    if args.serve_command == "query":
+        from repro.serve import RecommendService, ServiceConfig, load_index
+        service = RecommendService(load_index(args.index), ServiceConfig(
+            **_given(k=args.k, cache_size=0 if args.no_cache else None)))
+        users = [int(u) for u in args.users.split(",") if u.strip()]
+        for response in service.query_batch(users):
+            items = " ".join(str(i) for i in response["items"])
+            note = f" ({response['source']} fallback)" \
+                if response["fallback"] else ""
+            print(f"user {response['user_id']}: {items}{note}")
         return 0
-    except (CheckpointError, IndexFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    from repro.serve.bench import format_results, run_serve_benchmark
+    run = _maybe_start_run(args, "serve_bench", model=args.model,
+                           dataset=args.dataset, requests=args.requests)
+    results = run_serve_benchmark(
+        model_name=args.model, dataset_name=args.dataset,
+        epochs=args.epochs, n_requests=args.requests, k=args.k,
+        index_path=args.index, frontend_workers=args.frontend_workers)
+    print(format_results(results))
+    final = {"indexed/p99_ms": results["indexed"]["p99_ms"],
+             "indexed/qps": results["indexed"]["qps"]}
+    if results.get("speedup_indexed_vs_naive"):
+        final["speedup"] = results["speedup_indexed_vs_naive"]
+    frontend = results.get("frontend")
+    if frontend is not None:
+        final["frontend/capacity_qps"] = frontend["capacity_qps"]
+    _finish_run(run, final_metrics=final)
+    return 0
 
 
-def _serve_http(args, load_index) -> int:
+def _serve_http(args) -> int:
     """``repro serve http``: run (or inspect) the multi-worker edge."""
-    from repro.serve import ServiceConfig
+    from repro.serve import ServiceConfig, load_index
     from repro.serve.frontend import (FrontendConfig, ServingFrontend,
                                       fetch_status, run_http_server)
     if args.status:
         if not args.port:
             print("error: --status needs --port PORT", file=sys.stderr)
             return 2
-        try:
-            status = fetch_status(args.port, args.host)
-        except ConnectionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        status = fetch_status(args.port, args.host)
         fleet = status.get("fleet", {})
         print(f"frontend on {args.host}:{args.port}: "
               f"{fleet.get('ready', '?')}/{fleet.get('n_workers', '?')} "
@@ -956,22 +801,23 @@ def _serve_http(args, load_index) -> int:
               file=sys.stderr)
         return 2
     index = load_index(args.index)
+    fields = _given(n_workers=args.workers, max_queue_depth=args.queue_depth,
+                    wait_budget_ms=args.wait_budget_ms,
+                    default_deadline_ms=args.deadline_ms)
+    if fields.get("default_deadline_ms", 1.0) <= 0:
+        fields["default_deadline_ms"] = None  # <=0 disables deadlines
+    config = FrontendConfig(service=ServiceConfig(**_given(k=args.k)),
+                            **fields)
     run = _maybe_start_run(args, "serve_http", index=args.index,
-                           workers=args.workers)
-    deadline = args.deadline_ms if args.deadline_ms > 0 else None
-    config = FrontendConfig(
-        n_workers=args.workers,
-        service=ServiceConfig(k=args.k),
-        max_queue_depth=args.queue_depth,
-        wait_budget_ms=args.wait_budget_ms,
-        default_deadline_ms=deadline)
+                           workers=config.n_workers)
     frontend = ServingFrontend(index, config)
 
     def _ready(port: int) -> None:
-        print(f"[serve] http://{args.host}:{port} -- {args.workers} "
-              f"worker(s), queue depth {args.queue_depth}, deadline "
-              f"{deadline or 'off'}; GET /recommend?user=U&k=K, "
-              f"/status, /health; SIGTERM drains", flush=True)
+        print(f"[serve] http://{args.host}:{port} -- {config.n_workers} "
+              f"worker(s), queue depth {config.max_queue_depth}, deadline "
+              f"{config.default_deadline_ms or 'off'}; GET "
+              f"/recommend?user=U&k=K, /status, /health; SIGTERM drains",
+              flush=True)
 
     code = run_http_server(frontend, host=args.host, port=args.port,
                            port_file=args.port_file, ready_message=_ready)
@@ -985,11 +831,11 @@ def _serve_http(args, load_index) -> int:
     return code
 
 
-def _serve_export(args, build_index) -> int:
+def _serve_export(args) -> int:
     import pathlib
 
     from repro.data import load_dataset, temporal_split
-    from repro.serve import (CheckpointError, load_checkpoint,
+    from repro.serve import (CheckpointError, build_index, load_checkpoint,
                              read_checkpoint_meta)
     meta = read_checkpoint_meta(args.checkpoint)
     dataset_meta = meta.get("dataset")
@@ -1018,13 +864,11 @@ def _print_kv(record: dict, skip=()) -> None:
 
 
 def cmd_robust(args) -> int:
-    from repro.robust import TrainingDivergedError
     from repro.robust.drills import (run_checkpoint_drill,
                                      run_frontend_drill,
                                      run_serving_drill,
                                      run_stream_drill,
                                      run_training_drill)
-    from repro.serve import CheckpointError
     if args.inject_target == "stream":
         record = run_stream_drill(kind=args.kind,
                                   dataset_name=args.dataset,
@@ -1052,21 +896,14 @@ def cmd_robust(args) -> int:
         _print_kv(record, skip=("model", "dataset"))
         return 0 if record["passed"] else 1
     if args.inject_target == "train":
-        try:
-            record = run_training_drill(
-                model_name=args.model, dataset_name=args.dataset,
-                epochs=args.epochs, checkpoint_dir=args.checkpoint_dir,
-                nan_epoch=args.nan_epoch, nan_kind=args.nan_kind,
-                kill_epoch=args.kill_epoch,
-                checkpoint_every=args.checkpoint_every,
-                max_retries=args.max_retries, lr_backoff=args.lr_backoff,
-                resume=args.resume, seed=args.seed)
-        except TrainingDivergedError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        record = run_training_drill(
+            model_name=args.model, dataset_name=args.dataset,
+            epochs=args.epochs, checkpoint_dir=args.checkpoint_dir,
+            nan_epoch=args.nan_epoch, nan_kind=args.nan_kind,
+            kill_epoch=args.kill_epoch,
+            checkpoint_every=args.checkpoint_every,
+            max_retries=args.max_retries, lr_backoff=args.lr_backoff,
+            resume=args.resume, seed=args.seed)
         status = ("crashed (resume with --resume)" if record["crashed"]
                   else "completed" if record["completed"] else "partial")
         print(f"robust inject train: {record['model']} on "
@@ -1123,98 +960,103 @@ def cmd_robust(args) -> int:
 
 
 def cmd_online(args) -> int:
-    from repro.data.dataset import StreamError
     from repro.online import OnlineLoop
 
     loop = OnlineLoop(args.workdir, model_name=args.model,
                       dataset_name=args.dataset, seed=args.seed)
-    try:
-        if args.online_command == "ingest":
-            if args.simulate:
-                sim = loop.simulate(args.simulate, args.new_users,
-                                    args.new_items)
-                print(f"online simulate: {sim['n_events']} events "
-                      f"appended ({args.new_users} new users, "
-                      f"{args.new_items} new items)")
-            record = loop.ingest(max_events=args.max_events)
-            print(f"online ingest: {record['n_appended']} events folded "
-                  f"into the snapshot")
-            _print_kv(record)
-            _print_kv({"universe": f"{loop.dataset.n_users} users x "
-                                   f"{loop.dataset.n_items} items"})
-            return 0
-        if args.online_command == "finetune":
-            record = loop.finetune(epochs=args.epochs,
-                                   tail_frac=args.tail_frac,
-                                   half_life=args.half_life)
-            print(f"online finetune: index v{record['version']} "
-                  f"exported (activate with: repro online swap "
-                  f"--workdir {loop.workdir})")
-            _print_kv(record)
-            return 0
-        if args.online_command == "swap":
-            record = loop.swap(version=args.version)
-            print(f"online swap: v{record['version']} is live "
-                  f"({record['swap_latency_ms']:.1f} ms)")
-            _print_kv(record, skip=("version", "live_swaps"))
-            return 0
-        if args.online_command == "status":
-            record = loop.status()
-            print(f"online status: {loop.workdir}")
-            _print_kv(record, skip=("workdir",))
-            return 0
-        # run: one full cycle, with optional telemetry
-        run = _maybe_start_run(args, "online", model=args.model,
-                               dataset=args.dataset,
-                               events=args.events)
-        record = loop.run_cycle(
-            n_events=args.events, n_new_users=args.new_users,
-            n_new_items=args.new_items,
-            bootstrap_epochs=args.bootstrap_epochs,
-            finetune_epochs=args.finetune_epochs,
-            tail_frac=args.tail_frac, probe_k=args.k)
-        cold = record["cold_start"]
-        swap = record["swap"]
-        freshness = swap["event_to_servable_s"]
-        fresh_txt = (f"{freshness:.3f}s" if freshness is not None
-                     else "n/a")
-        hit_txt = (f"{cold['hit_rate']:.2f}" if cold["n_probed"]
-                   else "n/a")
-        print(f"online run: v{swap['version']} live, "
-              f"{record['ingest']['n_appended']} events ingested, "
-              f"cold-start hit rate {hit_txt}, "
-              f"event->servable {fresh_txt}")
-        for verb in ("bootstrap", "simulate", "ingest", "finetune",
-                     "swap", "cold_start"):
-            print(f"  [{verb}]")
-            sub = {key: value for key, value in record[verb].items()
-                   if key != "live_swaps"}
-            _print_kv({f"  {key}": value for key, value in sub.items()})
-        _finish_run(run, final_metrics={
-            "online/events_ingested": record["events_ingested"],
-            "online/cold_start_hit_rate": cold["hit_rate"] or 0.0,
-            "online/swap_latency_ms": swap["swap_latency_ms"]})
+    if args.online_command == "ingest":
+        if args.simulate:
+            sim = loop.simulate(args.simulate, args.new_users,
+                                args.new_items)
+            print(f"online simulate: {sim['n_events']} events "
+                  f"appended ({args.new_users} new users, "
+                  f"{args.new_items} new items)")
+        record = loop.ingest(max_events=args.max_events)
+        print(f"online ingest: {record['n_appended']} events folded "
+              f"into the snapshot")
+        _print_kv(record)
+        _print_kv({"universe": f"{loop.dataset.n_users} users x "
+                               f"{loop.dataset.n_items} items"})
         return 0
-    except StreamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.online_command == "finetune":
+        record = loop.finetune(epochs=args.epochs,
+                               tail_frac=args.tail_frac,
+                               half_life=args.half_life)
+        print(f"online finetune: index v{record['version']} "
+              f"exported (activate with: repro online swap "
+              f"--workdir {loop.workdir})")
+        _print_kv(record)
+        return 0
+    if args.online_command == "swap":
+        record = loop.swap(version=args.version)
+        print(f"online swap: v{record['version']} is live "
+              f"({record['swap_latency_ms']:.1f} ms)")
+        _print_kv(record, skip=("version", "live_swaps"))
+        return 0
+    if args.online_command == "status":
+        record = loop.status()
+        print(f"online status: {loop.workdir}")
+        _print_kv(record, skip=("workdir",))
+        return 0
+    # run: one full cycle, with optional telemetry
+    run = _maybe_start_run(args, "online", model=args.model,
+                           dataset=args.dataset, events=args.events)
+    record = loop.run_cycle(
+        n_events=args.events, n_new_users=args.new_users,
+        n_new_items=args.new_items,
+        bootstrap_epochs=args.bootstrap_epochs,
+        finetune_epochs=args.finetune_epochs,
+        tail_frac=args.tail_frac, probe_k=args.k)
+    cold = record["cold_start"]
+    swap = record["swap"]
+    freshness = swap["event_to_servable_s"]
+    fresh_txt = f"{freshness:.3f}s" if freshness is not None else "n/a"
+    hit_txt = f"{cold['hit_rate']:.2f}" if cold["n_probed"] else "n/a"
+    print(f"online run: v{swap['version']} live, "
+          f"{record['ingest']['n_appended']} events ingested, "
+          f"cold-start hit rate {hit_txt}, "
+          f"event->servable {fresh_txt}")
+    for verb in ("bootstrap", "simulate", "ingest", "finetune",
+                 "swap", "cold_start"):
+        print(f"  [{verb}]")
+        sub = {key: value for key, value in record[verb].items()
+               if key != "live_swaps"}
+        _print_kv({f"  {key}": value for key, value in sub.items()})
+    _finish_run(run, final_metrics={
+        "online/events_ingested": record["events_ingested"],
+        "online/cold_start_hit_rate": cold["hit_rate"] or 0.0,
+        "online/swap_latency_ms": swap["swap_latency_ms"]})
+    return 0
 
 
 COMMANDS = {
     "stats": cmd_stats,
     "train": cmd_train,
     "exp": cmd_exp,
-    "compare": cmd_compare,
-    "ablation": cmd_ablation,
-    "cases": cmd_cases,
     "obs": cmd_obs,
     "serve": cmd_serve,
     "robust": cmd_robust,
     "online": cmd_online,
 }
+
+
+def _exit_code(exc: BaseException) -> Optional[int]:
+    """The one table of expected failures: 2 when the input is unusable
+    (spec, checkpoint, index, SLO config, a missing file, an unreachable
+    front-end), 1 when the run itself failed (training diverged, a
+    poisoned event stream); ``None`` lets the exception propagate."""
+    from repro.data.dataset import StreamError
+    from repro.experiments.dag import SpecError
+    from repro.obs.slo import SloConfigError
+    from repro.robust import TrainingDivergedError
+    from repro.serve import CheckpointError, IndexFormatError
+    if isinstance(exc, (TrainingDivergedError, StreamError)):
+        return 1
+    if isinstance(exc, (SpecError, CheckpointError, IndexFormatError,
+                        SloConfigError, FileNotFoundError,
+                        ConnectionError)):
+        return 2
+    return None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1232,6 +1074,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         except OSError:
             pass
         return 0
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

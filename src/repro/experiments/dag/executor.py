@@ -19,8 +19,11 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional, Tuple
 
+from repro import obs
 from repro.experiments.dag.graph import Node
 from repro.experiments.dag.store import ResultStore
+
+LOG = obs.get_logger(__name__)
 
 
 class ExperimentError(RuntimeError):
@@ -125,6 +128,30 @@ def _trained_model(store: ResultStore, train_key: str, dataset, split):
                            split=split)
 
 
+def _resumable_model(ck_dir, dataset, split, label: str):
+    """The model a killed train node resumes from, or ``None``.
+
+    A ``ck/`` pair the supervisor would refuse (a torn checkpoint and
+    sidecar, a corrupted file) is logged and removed, so the node
+    trains from scratch instead of failing on every rerun.
+    """
+    import shutil
+
+    from repro.models.base import FitState
+    from repro.robust import load_fit_state
+    from repro.serve import CheckpointError, load_checkpoint
+    try:
+        model = load_checkpoint(ck_dir, dataset=dataset, split=split)
+        # The pairing and optimizer checks of the supervisor's resume.
+        load_fit_state(ck_dir, model.make_optimizer(), FitState())
+    except CheckpointError as exc:
+        LOG.warning("train node %s: discarding %s (%s); training from "
+                    "scratch", label, ck_dir, exc)
+        shutil.rmtree(ck_dir)
+        return None
+    return model
+
+
 # ----------------------------------------------------------------------
 # Per-kind executors
 # ----------------------------------------------------------------------
@@ -160,16 +187,15 @@ def _execute_train(node: Node, store: ResultStore, fault_plan) -> dict:
         from repro.robust import (ResilienceConfig, TrainingSupervisor,
                                   has_fit_state)
         ck_dir = node_dir / "ck"
-        resumed = has_fit_state(ck_dir)
+        model = (_resumable_model(ck_dir, dataset, split, node.label)
+                 if has_fit_state(ck_dir) else None)
+        resumed = model is not None
+        if not resumed:
+            model = build_train_model(payload, dataset)
         supervisor = TrainingSupervisor(
             ResilienceConfig(checkpoint_dir=ck_dir, checkpoint_every=1,
                              resume=resumed),
             fault_plan=fault_plan)
-        if resumed:
-            from repro.serve import load_checkpoint
-            model = load_checkpoint(ck_dir, dataset=dataset, split=split)
-        else:
-            model = build_train_model(payload, dataset)
         model.fit(dataset, split, evaluator=evaluator,
                   supervisor=supervisor)
         from repro.serve import save_checkpoint

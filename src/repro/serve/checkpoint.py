@@ -96,8 +96,12 @@ def save_checkpoint(model, path, *,
 
 
 def read_checkpoint_meta(path) -> Dict[str, object]:
-    """Parse and validate ``checkpoint.json`` (version + checksum)."""
-    return FORMAT.read(path)[0]
+    """Parse ``checkpoint.json`` and check its format version.
+
+    The arrays file is neither read nor checksummed here;
+    :func:`load_checkpoint` does both.
+    """
+    return FORMAT.read_manifest(path)
 
 
 def restore_checkpoint(model, path, artifact=None) -> None:

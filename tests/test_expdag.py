@@ -165,6 +165,31 @@ class TestKillResume:
         assert (json.dumps(resumed.sections, sort_keys=True)
                 == json.dumps(clean.sections, sort_keys=True))
 
+    def test_torn_checkpoint_pair_trains_from_scratch(self, tmp_path):
+        """A kill between the checkpoint write and the sidecar write
+        leaves a pair the supervisor refuses; the rerun must discard
+        ``ck/`` and train the node afresh instead of failing."""
+        spec = tiny_spec()
+        label = "train:BPRMF:ciao:s0"
+        for name, kill_epoch in (("torn", 1), ("donor", 0)):
+            plan = FaultPlan([FaultSpec("kill", epoch=kill_epoch)])
+            with pytest.raises(ExperimentError):
+                run_experiment(spec, workdir=tmp_path / name,
+                               fault_plans={label: plan})
+        key = next(n["key"] for n in experiment_status(
+            spec, tmp_path / "torn")["nodes"] if n["label"] == label)
+        ck = ResultStore(tmp_path / "torn").node_dir(key) / "ck"
+        donor = ResultStore(tmp_path / "donor").node_dir(key) / "ck"
+        for name in ("fit_state.json", "fit_state.npz"):
+            (ck / name).write_bytes((donor / name).read_bytes())
+
+        rerun = run_experiment(spec, workdir=tmp_path / "torn")
+        assert ResultStore(tmp_path / "torn").load(key)["resumed"] is False
+        clean = run_experiment(spec, workdir=tmp_path / "clean")
+        assert (json.dumps(rerun.sections, sort_keys=True)
+                == json.dumps(clean.sections, sort_keys=True))
+        assert rerun.format() == clean.format()
+
 
 class TestGridCompile:
     def test_grid_dedups_shared_nodes(self):
@@ -231,11 +256,3 @@ class TestCli:
                           str(tmp_path / "nothing"))
         capsys.readouterr()
         assert rc == 2
-
-    def test_compare_wrapper_runs(self, tmp_path, capsys):
-        rc = self.run_cli("compare", "--models", "BPRMF", "--datasets",
-                          "ciao", "--epochs", str(EPOCHS))
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "BPRMF" in out
-        assert "recall@10" in out

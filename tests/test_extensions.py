@@ -297,3 +297,22 @@ class TestCLI:
         from repro.cli import build_parser
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("argv, code", [
+        (["exp", "run", "--models", "Nope"], 2),
+        (["serve", "query", "missing", "--users", "0"], 2),
+        (["serve", "export", "missing"], 2),
+        (["online", "ingest", "--workdir", "online", "--dataset", "ciao"],
+         1),
+    ], ids=["SpecError", "IndexFormatError", "CheckpointError",
+            "StreamError"])
+    def test_expected_failure_exit_codes(self, argv, code, tmp_path,
+                                         capsys, monkeypatch):
+        from repro.cli import main
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "online").mkdir()
+        (tmp_path / "online" / "journal.jsonl").write_text("not json\n")
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err

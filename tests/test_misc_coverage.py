@@ -101,23 +101,29 @@ class TestFigureHelpers:
 
 
 class TestCLICommands:
+    """Table II/III/V through their one CLI path, ``exp run --kind``."""
+
     def test_compare_command(self, capsys):
         from repro.cli import main
-        code = main(["compare", "--models", "BPRMF", "LogiRec++",
-                     "--datasets", "ciao", "--epochs", "2"])
+        code = main(["exp", "run", "--kind", "comparison", "--models",
+                     "BPRMF", "LogiRec++", "--datasets", "ciao",
+                     "--epochs", "2", "--ephemeral"])
         assert code == 0
         out = capsys.readouterr().out
         assert "BPRMF" in out and "LogiRec++" in out
+        assert "recall@10" in out
 
     def test_ablation_command(self, capsys):
         from repro.cli import main
-        code = main(["ablation", "--dataset", "ciao", "--epochs", "2"])
+        code = main(["exp", "run", "--kind", "ablation", "--datasets",
+                     "ciao", "--epochs", "2", "--ephemeral"])
         assert code == 0
         assert "w/o" in capsys.readouterr().out
 
     def test_cases_command(self, capsys):
         from repro.cli import main
-        code = main(["cases", "--dataset", "ciao", "--epochs", "3"])
+        code = main(["exp", "run", "--kind", "cases", "--datasets", "ciao",
+                     "--epochs", "3", "--ephemeral"])
         assert code == 0
         assert "CON=" in capsys.readouterr().out
 

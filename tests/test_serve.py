@@ -284,6 +284,22 @@ class TestCli:
                      "--users", "0,1,2,3,4", "--no-cache"]) == 0
         assert capsys.readouterr().out == first  # deterministic
 
+    def test_serve_export_hashes_the_checkpoint_once(self, tmp_path,
+                                                     capsys, monkeypatch):
+        import repro.artifact
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "BPRMF", "--dataset", "ciao", "--epochs",
+                     "1", "--save", "ck"]) == 0
+        arrays = (tmp_path / "ck" / "arrays.npz").read_bytes()
+        hashed = []
+        real = repro.artifact.sha256_of
+        monkeypatch.setattr(repro.artifact, "sha256_of",
+                            lambda data: hashed.append(data) or real(data))
+        assert main(["serve", "export", "ck", "--out", "idx"]) == 0
+        assert hashed.count(arrays) == 1
+
     def test_serve_errors_are_friendly(self, tmp_path, capsys,
                                        monkeypatch):
         from repro.cli import main
