@@ -256,3 +256,13 @@ class TestCli:
                           str(tmp_path / "nothing"))
         capsys.readouterr()
         assert rc == 2
+
+    def test_compare_wrapper_runs(self, tmp_path, capsys):
+        # The comparison job formerly behind `compare`, now one `exp run`.
+        rc = self.run_cli("exp", "run", "--kind", "comparison", "--models",
+                          "BPRMF", "--datasets", "ciao", "--epochs",
+                          str(EPOCHS), "--ephemeral")
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "BPRMF" in out
+        assert "recall@10" in out
