@@ -21,6 +21,8 @@
 #              of README.md and scripts/reproduce_all.sh must parse
 #              with repro.cli.build_parser, and cli.py prints
 #              `error: {exc}` only in main (one error→exit-code table);
+#              importing repro.cli loads no scipy.stats (~1 s of every
+#              CLI call; import it inside the function that needs it);
 #   2. tests — the tier-1 pytest suite;
 #   3. smoke — a tiny --telemetry training run must leave a readable
 #              manifest + event log that `repro obs summarize` renders;
@@ -253,6 +255,17 @@ violations=$(awk '/^(def|class) / { inside = /^def main[(]/ }
 if [ -n "$violations" ]; then
     echo "per-command error exit in cli.py (let the exception reach" \
          "main, whose _exit_code table maps it to an exit code):"
+    echo "$violations"
+    exit 1
+fi
+echo "ok"
+
+echo "== lint: importing the CLI loads no scipy.stats =="
+imports=$(python -X importtime -c "import repro.cli" 2>&1)
+violations=$(echo "$imports" | grep -E '[|] *scipy[.]stats([.]|$)' || true)
+if [ -n "$violations" ]; then
+    echo "import repro.cli pulls in scipy.stats (import it inside the" \
+         "function that calls it):"
     echo "$violations"
     exit 1
 fi

@@ -800,7 +800,6 @@ def _serve_http(args) -> int:
         print("error: an index directory is required (or --status)",
               file=sys.stderr)
         return 2
-    index = load_index(args.index)
     fields = _given(n_workers=args.workers, max_queue_depth=args.queue_depth,
                     wait_budget_ms=args.wait_budget_ms,
                     default_deadline_ms=args.deadline_ms)
@@ -808,6 +807,7 @@ def _serve_http(args) -> int:
         fields["default_deadline_ms"] = None  # <=0 disables deadlines
     config = FrontendConfig(service=ServiceConfig(**_given(k=args.k)),
                             **fields)
+    index = load_index(args.index)
     run = _maybe_start_run(args, "serve_http", index=args.index,
                            workers=config.n_workers)
     frontend = ServingFrontend(index, config)
@@ -1042,19 +1042,20 @@ COMMANDS = {
 
 def _exit_code(exc: BaseException) -> Optional[int]:
     """The one table of expected failures: 2 when the input is unusable
-    (spec, checkpoint, index, SLO config, a missing file, an unreachable
-    front-end), 1 when the run itself failed (training diverged, a
-    poisoned event stream); ``None`` lets the exception propagate."""
+    (spec, config value, checkpoint, index, SLO config, a missing file,
+    an unreachable front-end), 1 when the run itself failed (training
+    diverged, a poisoned event stream); ``None`` lets the exception
+    propagate."""
     from repro.data.dataset import StreamError
     from repro.experiments.dag import SpecError
     from repro.obs.slo import SloConfigError
-    from repro.robust import TrainingDivergedError
+    from repro.robust import ConfigError, TrainingDivergedError
     from repro.serve import CheckpointError, IndexFormatError
     if isinstance(exc, (TrainingDivergedError, StreamError)):
         return 1
-    if isinstance(exc, (SpecError, CheckpointError, IndexFormatError,
-                        SloConfigError, FileNotFoundError,
-                        ConnectionError)):
+    if isinstance(exc, (SpecError, ConfigError, CheckpointError,
+                        IndexFormatError, SloConfigError,
+                        FileNotFoundError, ConnectionError)):
         return 2
     return None
 

@@ -19,10 +19,15 @@ The generator builds, in order:
 
 Because the traits are planted, downstream analyses (Fig. 5, Table V) have
 ground truth to validate against.
+
+Per-draw picks call ``rng.integers``/``rng.random`` rather than
+``rng.choice``, which re-checks its arguments and rebuilds the CDF on
+every call but draws the same RNG stream (DESIGN.md §6).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -80,7 +85,7 @@ def _assign_item_tags(config: SyntheticConfig, taxonomy: Taxonomy,
                 cols.append(anc)
         if rng.random() < config.extra_tag_prob:
             rows.append(item)
-            cols.append(int(rng.choice(leaves)))
+            cols.append(leaves[int(rng.integers(0, len(leaves)))])
 
     # Plant overlapping sibling pairs: items of one leaf also get its
     # sibling's tag.  The structural rule will still call the pair
@@ -120,10 +125,12 @@ def _user_traits(config: SyntheticConfig, taxonomy: Taxonomy,
     level_probs = level_probs / level_probs.sum()
     focus_levels = rng.choice(internal_levels, size=config.n_users,
                               p=level_probs)
+    candidates = {level: taxonomy.tags_at_level(level)
+                  for level in range(2, taxonomy.depth + 1)}
     focus_nodes = np.zeros(config.n_users, dtype=np.int64)
     for u in range(config.n_users):
-        candidates = taxonomy.tags_at_level(int(focus_levels[u]))
-        focus_nodes[u] = int(rng.choice(candidates))
+        pool = candidates[int(focus_levels[u])]
+        focus_nodes[u] = pool[int(rng.integers(0, len(pool)))]
     a, b = config.consistency_beta
     consistency = rng.beta(a, b, size=config.n_users)
     return focus_nodes, focus_levels, consistency
@@ -143,48 +150,47 @@ def generate_dataset(config: SyntheticConfig,
     q, primary, overlapping = _assign_item_tags(config, taxonomy, rng)
     focus_nodes, focus_levels, consistency = _user_traits(config, taxonomy,
                                                           rng)
-    leaves = taxonomy.leaves
-    items_by_leaf = {leaf: np.where(primary == leaf)[0] for leaf in leaves}
-    # Within-leaf popularity: Zipf-like weights per item.
-    popularity = {}
-    for leaf, items in items_by_leaf.items():
+    # Within-leaf popularity: Zipf-like weights per item, held as the
+    # CDF ``rng.choice(items, p=weights)`` would build from them.
+    by_leaf = {}
+    for leaf in taxonomy.leaves:
+        items = np.where(primary == leaf)[0]
         if len(items) == 0:
             continue
         ranks = np.arange(1, len(items) + 1, dtype=float)
         weights = ranks ** (-config.popularity_exponent)
-        popularity[leaf] = weights / weights.sum()
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        by_leaf[leaf] = (items.tolist(), cdf.tolist())
+    nonempty_leaves = list(by_leaf)
+    focus_pools = {}
 
     user_ids: List[int] = []
     item_ids: List[int] = []
     timestamps: List[int] = []
-    nonempty_leaves = [l for l in leaves if len(items_by_leaf[l])]
+    random, integers = rng.random, rng.integers
+    log_mean = np.log(config.mean_interactions)
 
     for u in range(config.n_users):
-        count = int(np.round(rng.lognormal(
-            np.log(config.mean_interactions), config.interaction_spread)))
+        count = int(round(rng.lognormal(log_mean,
+                                        config.interaction_spread)))
         count = max(config.min_interactions, count)
-        focus_leaves = [l for l in taxonomy.subtree_leaves(int(focus_nodes[u]))
-                        if len(items_by_leaf[l])]
-        if not focus_leaves:
-            focus_leaves = nonempty_leaves
-        chosen_items = set()
-        t = 0
-        attempts = 0
-        while len(chosen_items) < count and attempts < count * 10:
-            attempts += 1
-            if rng.random() < consistency[u]:
-                leaf = int(rng.choice(focus_leaves))
-            else:
-                leaf = int(rng.choice(nonempty_leaves))
-            items = items_by_leaf[leaf]
-            item = int(rng.choice(items, p=popularity[leaf]))
-            if item in chosen_items:
-                continue
-            chosen_items.add(item)
-            user_ids.append(u)
-            item_ids.append(item)
-            timestamps.append(t)
-            t += 1
+        focus = int(focus_nodes[u])
+        if focus not in focus_pools:
+            focus_pools[focus] = [l for l in taxonomy.subtree_leaves(focus)
+                                  if l in by_leaf] or nonempty_leaves
+        focus_leaves = focus_pools[focus]
+        stay = float(consistency[u])
+        chosen = {}  # ordered set: a repeated pick changes nothing
+        for _ in range(count * 10):
+            if len(chosen) >= count:
+                break
+            pool = focus_leaves if random() < stay else nonempty_leaves
+            items, cdf = by_leaf[pool[integers(0, len(pool))]]
+            chosen[items[bisect_right(cdf, random())]] = None
+        user_ids.extend([u] * len(chosen))
+        item_ids.extend(chosen)
+        timestamps.extend(range(len(chosen)))
 
     dataset = InteractionDataset(
         user_ids=np.asarray(user_ids),

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import stats
 
 
 def wilcoxon_improvement(candidate: np.ndarray, baseline: np.ndarray,
@@ -24,6 +23,7 @@ def wilcoxon_improvement(candidate: np.ndarray, baseline: np.ndarray,
     diff = candidate - baseline
     if np.allclose(diff, 0.0):
         return False, 1.0
+    from scipy import stats  # ~1 s to import; only this test needs it
     result = stats.wilcoxon(candidate, baseline, alternative="greater",
                             zero_method="wilcox")
     return bool(result.pvalue < alpha), float(result.pvalue)

@@ -46,7 +46,6 @@ from repro.experiments.figures import (
     tag_separation_scores,
 )
 from repro.experiments.cases import case_rows
-from repro.experiments.search import format_search_trace, grid_search
 from repro.experiments.robustness import (
     corrupt_taxonomy,
     format_robustness_table,
@@ -76,6 +75,4 @@ __all__ = [
     "tag_separation_scores",
     "corrupt_taxonomy",
     "format_robustness_table",
-    "grid_search",
-    "format_search_trace",
 ]

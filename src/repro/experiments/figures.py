@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.core.logirec import LogiRec
 from repro.data import InteractionDataset
@@ -64,6 +63,7 @@ def tag_types_vs_origin_distance(model: LogiRec,
         distances = np.arccosh(np.maximum(user_emb[users, 0], 1.0))
     else:
         distances = np.linalg.norm(user_emb[users], axis=-1)
+    from scipy import stats  # ~1 s to import; only this figure needs it
     corr, p_value = stats.spearmanr(tag_types, distances)
     return {"users": users, "tag_types": tag_types,
             "distances": distances,

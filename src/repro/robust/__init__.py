@@ -26,8 +26,8 @@ from repro.robust.faults import (FAULT_KINDS, PROCESS_KINDS,
                                  STREAM_KINDS, FaultInjectionError,
                                  FaultPlan, FaultSpec, FaultyIndex,
                                  InjectedScoringError, SimulatedCrash)
-from repro.robust.policies import (BreakerPolicy, ResilienceConfig,
-                                   RetryPolicy)
+from repro.robust.policies import (BreakerPolicy, ConfigError,
+                                   ResilienceConfig, RetryPolicy)
 from repro.robust.training import (TrainingDivergedError,
                                    TrainingSupervisor, has_fit_state,
                                    load_fit_state, save_fit_state)
@@ -43,6 +43,7 @@ __all__ = [
     "InjectedScoringError",
     "SimulatedCrash",
     "BreakerPolicy",
+    "ConfigError",
     "ResilienceConfig",
     "RetryPolicy",
     "CircuitBreaker",

@@ -22,6 +22,16 @@ from pathlib import Path
 from typing import Optional, Union
 
 
+class ConfigError(ValueError):
+    """A config field holds an unusable value.
+
+    Raised by the ``__post_init__`` checks of the policy and serving
+    config dataclasses, so the CLI can report a bad flag value as one
+    ``error:`` line (exit 2) while any other ``ValueError`` keeps its
+    traceback.
+    """
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Retry-with-backoff around a single scoring call.
@@ -45,12 +55,12 @@ class RetryPolicy:
 
     def __post_init__(self):
         if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
+            raise ConfigError(f"retries must be >= 0, got {self.retries}")
         if self.backoff_s < 0:
-            raise ValueError(
+            raise ConfigError(
                 f"backoff_s must be >= 0, got {self.backoff_s}")
         if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"timeout_s must be positive or None, got {self.timeout_s}")
 
 
@@ -74,15 +84,15 @@ class BreakerPolicy:
 
     def __post_init__(self):
         if self.window <= 0:
-            raise ValueError(f"window must be positive, got {self.window}")
+            raise ConfigError(f"window must be positive, got {self.window}")
         if not 0.0 < self.threshold <= 1.0:
-            raise ValueError(
+            raise ConfigError(
                 f"threshold must be in (0, 1], got {self.threshold}")
         if self.min_requests <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"min_requests must be positive, got {self.min_requests}")
         if self.cooldown <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"cooldown must be positive, got {self.cooldown}")
 
 
@@ -120,12 +130,12 @@ class ResilienceConfig:
 
     def __post_init__(self):
         if self.checkpoint_every <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"checkpoint_every must be positive, "
                 f"got {self.checkpoint_every}")
         if self.max_retries < 0:
-            raise ValueError(
+            raise ConfigError(
                 f"max_retries must be >= 0, got {self.max_retries}")
         if not 0.0 < self.lr_backoff <= 1.0:
-            raise ValueError(
+            raise ConfigError(
                 f"lr_backoff must be in (0, 1], got {self.lr_backoff}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.robust.policies import BreakerPolicy, RetryPolicy
+from repro.robust.policies import BreakerPolicy, ConfigError, RetryPolicy
 
 FALLBACK_MODES = ("popularity", "stale_index")
 
@@ -57,14 +57,14 @@ class ServiceConfig:
 
     def __post_init__(self):
         if self.k <= 0:
-            raise ValueError(f"k must be positive, got {self.k}")
+            raise ConfigError(f"k must be positive, got {self.k}")
         if self.cache_size < 0:
-            raise ValueError(
+            raise ConfigError(
                 f"cache_size must be >= 0, got {self.cache_size}")
         if self.batch_size <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"batch_size must be positive, got {self.batch_size}")
         if self.fallback not in FALLBACK_MODES:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown fallback mode {self.fallback!r}; "
                 f"known: {list(FALLBACK_MODES)}")

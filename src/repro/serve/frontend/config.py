@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.robust.policies import ConfigError
 from repro.serve.config import ServiceConfig
 
 # Requests per dispatched message and per worker engine call.
@@ -80,24 +81,24 @@ class FrontendConfig:
 
     def __post_init__(self):
         if self.n_workers <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"n_workers must be positive, got {self.n_workers}")
         if self.max_queue_depth <= 0:
-            raise ValueError(f"max_queue_depth must be positive, "
+            raise ConfigError(f"max_queue_depth must be positive, "
                              f"got {self.max_queue_depth}")
         if self.wait_budget_ms is not None and self.wait_budget_ms <= 0:
-            raise ValueError(f"wait_budget_ms must be positive or None, "
+            raise ConfigError(f"wait_budget_ms must be positive or None, "
                              f"got {self.wait_budget_ms}")
         if (self.default_deadline_ms is not None
                 and self.default_deadline_ms <= 0):
-            raise ValueError(
+            raise ConfigError(
                 f"default_deadline_ms must be positive or None, "
                 f"got {self.default_deadline_ms}")
         if self.start_timeout_s <= 0:
-            raise ValueError(f"start_timeout_s must be positive, "
+            raise ConfigError(f"start_timeout_s must be positive, "
                              f"got {self.start_timeout_s}")
         if self.stall_after_s <= HEARTBEAT_INTERVAL_S:
-            raise ValueError(
+            raise ConfigError(
                 f"stall_after_s ({self.stall_after_s}) must exceed the "
                 f"heartbeat interval ({HEARTBEAT_INTERVAL_S}); healthy "
                 f"idle workers would look stalled")

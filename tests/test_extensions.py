@@ -298,16 +298,21 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    @pytest.mark.parametrize("argv, code", [
-        (["exp", "run", "--models", "Nope"], 2),
-        (["serve", "query", "missing", "--users", "0"], 2),
-        (["serve", "export", "missing"], 2),
+    @pytest.mark.parametrize("argv, code, message", [
+        (["exp", "run", "--models", "Nope"], 2, "unknown model"),
+        (["serve", "query", "missing", "--users", "0"], 2, "no index"),
+        (["serve", "export", "missing"], 2, "no checkpoint"),
         (["online", "ingest", "--workdir", "online", "--dataset", "ciao"],
-         1),
+         1, "corrupt journal"),
+        (["train", "BPRMF", "--dataset", "ciao", "--epochs", "1",
+          "--checkpoint-dir", "ck", "--checkpoint-every", "0"], 2,
+         "checkpoint_every"),
+        # The config is checked before the index directory is read.
+        (["serve", "http", "missing", "--workers", "0"], 2, "n_workers"),
     ], ids=["SpecError", "IndexFormatError", "CheckpointError",
-            "StreamError"])
-    def test_expected_failure_exit_codes(self, argv, code, tmp_path,
-                                         capsys, monkeypatch):
+            "StreamError", "ConfigError-train", "ConfigError-serve"])
+    def test_expected_failure_exit_codes(self, argv, code, message,
+                                         tmp_path, capsys, monkeypatch):
         from repro.cli import main
         monkeypatch.chdir(tmp_path)
         (tmp_path / "online").mkdir()
@@ -315,4 +320,5 @@ class TestCLI:
         assert main(argv) == code
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
+        assert message in captured.err
         assert "Traceback" not in captured.err

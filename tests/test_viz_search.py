@@ -1,12 +1,10 @@
-"""Tests for the SVG visualization module and the grid-search utility."""
+"""Tests for the SVG visualization module."""
 
 import numpy as np
 import pytest
 
 from repro.core import LogiRecConfig, LogiRecPP
 from repro.data import load_dataset, temporal_split
-from repro.eval import Evaluator
-from repro.experiments.search import format_search_trace, grid_search
 from repro.viz import render_poincare_disk, save_embedding_figure
 
 
@@ -63,50 +61,3 @@ class TestSVGRendering:
         content = open(path).read()
         assert content.startswith("<svg")
         assert ds.name in content
-
-
-class TestGridSearch:
-    @pytest.fixture(scope="class")
-    def setup(self):
-        ds = load_dataset("ciao", scale=0.4)
-        return ds, temporal_split(ds)
-
-    def test_finds_best_on_validation(self, setup):
-        ds, split = setup
-        base = LogiRecConfig(dim=8, epochs=4, batch_size=1024, seed=0)
-
-        def factory(config):
-            return LogiRecPP(ds.n_users, ds.n_items, ds.n_tags, config)
-
-        best, trace = grid_search(factory, base,
-                                  {"lam": [0.0, 1.0]}, ds, split)
-        assert len(trace) == 2
-        best_row = max(trace, key=lambda r: r["score"])
-        assert best.lam == best_row["params"]["lam"]
-
-    def test_multi_field_grid_size(self, setup):
-        ds, split = setup
-        base = LogiRecConfig(dim=8, epochs=2, batch_size=1024, seed=0)
-
-        def factory(config):
-            return LogiRecPP(ds.n_users, ds.n_items, ds.n_tags, config)
-
-        _, trace = grid_search(factory, base,
-                               {"lam": [0.0, 1.0],
-                                "margin": [0.1, 0.5]}, ds, split)
-        assert len(trace) == 4
-        seen = {tuple(sorted(r["params"].items())) for r in trace}
-        assert len(seen) == 4
-
-    def test_empty_grid_rejected(self, setup):
-        ds, split = setup
-        with pytest.raises(ValueError):
-            grid_search(lambda c: None, LogiRecConfig(), {}, ds, split)
-
-    def test_trace_formatting(self):
-        trace = [{"params": {"lam": 1.0}, "score": 12.5},
-                 {"params": {"lam": 0.0}, "score": 8.0}]
-        text = format_search_trace(trace)
-        lines = text.splitlines()
-        assert "12.50" in lines[1]  # best first
-        assert "lam=0.0" in lines[2]
