@@ -50,7 +50,9 @@
 #              worker, pass `obs slo`, and export a valid trace.
 #   9. online — a full ingest→finetune→swap cycle on the synthetic
 #              dataset must leave a fresh index version live with
-#              streamed-in cold-start users servable; scoring faults
+#              streamed-in cold-start users servable, and a fresh
+#              process must replay the journal into the dataset
+#              (`online status` counts every ingested event); scoring faults
 #              fired inside the swap window must be carried by
 #              degraded-mode (stale-index) serving with clean
 #              recovery on the next swap; a poisoned event stream
@@ -477,6 +479,11 @@ python -m repro online status --workdir "$smoke_dir/online" \
     > "$smoke_dir/n3.txt"
 grep -q "current: 3" "$smoke_dir/n3.txt"
 grep -q "lag_bytes: 0" "$smoke_dir/n3.txt"
+# Each process rebuilds the live dataset from the snapshot plus the
+# journal it has not absorbed: both cycles' 30 + 10 events must be there.
+base=$(python -c "from repro.data import load_dataset
+print(load_dataset('cd').n_interactions)")
+grep -q "n_interactions: $((base + 40))$" "$smoke_dir/n3.txt"
 
 # Scoring faults fired inside the swap window: the demoted v1 index
 # must carry all traffic as the stale-index fallback (degraded mode),

@@ -1,8 +1,9 @@
 """One persisted-artifact format, and one way to replace a file.
 
-Checkpoints, retrieval indexes and the training ``fit_state`` sidecar are
-each an uncompressed ``.npz`` arrays file plus a JSON manifest carrying
-``format_version`` (when the format has one) and ``arrays_sha256``.
+Checkpoints, retrieval indexes, the training ``fit_state`` sidecar and
+dataset snapshots are each an uncompressed ``.npz`` arrays file plus a
+JSON manifest carrying ``format_version`` (when the format has one) and
+``arrays_sha256``.
 DESIGN.md §8 "Artifact format" states the write and read order.
 """
 

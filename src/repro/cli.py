@@ -478,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
 
     oin = online_sub.add_parser(
-        "ingest", help="fold pending journal events into the dataset "
-                       "snapshot (optionally simulating events first)")
+        "ingest", help="fold pending journal events into the live "
+                       "dataset (optionally simulating events first)")
     _add_online_common(oin)
     oin.add_argument("--simulate", type=int, default=0, metavar="N",
                      help="append N synthetic events before ingesting")
@@ -973,7 +973,7 @@ def cmd_online(args) -> int:
                   f"{args.new_items} new items)")
         record = loop.ingest(max_events=args.max_events)
         print(f"online ingest: {record['n_appended']} events folded "
-              f"into the snapshot")
+              f"into the live dataset")
         _print_kv(record)
         _print_kv({"universe": f"{loop.dataset.n_users} users x "
                                f"{loop.dataset.n_items} items"})
@@ -1023,7 +1023,7 @@ def cmd_online(args) -> int:
                if key != "live_swaps"}
         _print_kv({f"  {key}": value for key, value in sub.items()})
     _finish_run(run, final_metrics={
-        "online/events_ingested": record["events_ingested"],
+        "online/events_ingested": record["ingest"]["n_appended"],
         "online/cold_start_hit_rate": cold["hit_rate"] or 0.0,
         "online/swap_latency_ms": swap["swap_latency_ms"]})
     return 0
@@ -1042,11 +1042,12 @@ COMMANDS = {
 
 def _exit_code(exc: BaseException) -> Optional[int]:
     """The one table of expected failures: 2 when the input is unusable
-    (spec, config value, checkpoint, index, SLO config, a missing file,
-    an unreachable front-end), 1 when the run itself failed (training
-    diverged, a poisoned event stream); ``None`` lets the exception
-    propagate."""
+    (spec, config value, checkpoint, index, dataset snapshot, SLO config,
+    a missing file, an unreachable front-end), 1 when the run itself
+    failed (training diverged, a poisoned event stream); ``None`` lets the
+    exception propagate."""
     from repro.data.dataset import StreamError
+    from repro.data.io import SnapshotError
     from repro.experiments.dag import SpecError
     from repro.obs.slo import SloConfigError
     from repro.robust import ConfigError, TrainingDivergedError
@@ -1054,7 +1055,7 @@ def _exit_code(exc: BaseException) -> Optional[int]:
     if isinstance(exc, (TrainingDivergedError, StreamError)):
         return 1
     if isinstance(exc, (SpecError, ConfigError, CheckpointError,
-                        IndexFormatError, SloConfigError,
+                        IndexFormatError, SnapshotError, SloConfigError,
                         FileNotFoundError, ConnectionError)):
         return 2
     return None

@@ -179,25 +179,28 @@ class LogiRec(Recommender):
 
     def _propagated(self):
         """Full (user, item) embedding tables after graph convolution,
-        plus the item Poincare points used by the membership loss."""
+        plus the item points and tag centres the logical losses use
+        (tag centres ``None`` in Euclidean mode, where balls ignore
+        them)."""
         if not self.config.hyperbolic:
             user_all, item_all = euclidean_gcn(
                 self.user_emb, self.item_emb, self._adj_ui, self._adj_iu,
                 self.config.n_layers)
-            return user_all, item_all, self.item_emb
-        user_h, item_p, _ = self._manifold_points()
+            return user_all, item_all, self.item_emb, None
+        user_h, item_p, tag_c = self._manifold_points()
         item_h = poincare_to_lorentz(item_p)
         user_all, item_all = hyperbolic_gcn(
             user_h, item_h, self._adj_ui, self._adj_iu,
             self.config.n_layers)
-        return user_all, item_all, item_p
+        return user_all, item_all, item_p, tag_c
 
-    def _logic_loss(self, item_points: Tensor) -> Tensor:
+    def _logic_loss(self, item_points: Tensor,
+                    tag_centers: Optional[Tensor] = None) -> Tensor:
         """λ-weighted sum of the enabled logical losses (Eq. 3-5)."""
         cfg = self.config
         if cfg.lam == 0.0:
             return Tensor(0.0)
-        balls = self._tag_balls()
+        balls = self._tag_balls(tag_centers)
         total = Tensor(0.0)
         if cfg.use_membership and len(self._relations.membership):
             total = total + membership_loss(item_points, balls,
@@ -216,7 +219,7 @@ class LogiRec(Recommender):
 
     def batch_loss(self, users: np.ndarray, pos: np.ndarray,
                    neg: np.ndarray) -> Tensor:
-        user_all, item_all, item_points = self._propagated()
+        user_all, item_all, item_points, tag_centers = self._propagated()
         u = gather_rows(user_all, users)
         v_p = gather_rows(item_all, pos)
         v_q = gather_rows(item_all, neg)
@@ -227,7 +230,7 @@ class LogiRec(Recommender):
         else:
             rec = euclidean_recommendation_loss(u, v_p, v_q,
                                                 self.config.margin, weights)
-        return rec + self._logic_loss(item_points)
+        return rec + self._logic_loss(item_points, tag_centers)
 
     # ------------------------------------------------------------------
     # Inference
@@ -235,7 +238,7 @@ class LogiRec(Recommender):
     def final_embeddings(self):
         """Propagated (user, item) tables as numpy arrays (no grad)."""
         with no_grad():
-            user_all, item_all, _ = self._propagated()
+            user_all, item_all = self._propagated()[:2]
         return user_all.data, item_all.data
 
     def user_lorentz_points(self) -> np.ndarray:

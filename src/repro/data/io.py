@@ -3,9 +3,10 @@
 A downstream adopter has interactions in flat files, not in our synthetic
 generator.  This module provides:
 
-* :func:`save_dataset` / :func:`load_dataset_file` — lossless npz + JSON
-  round-trip of an :class:`~repro.data.InteractionDataset`, each file
-  replaced whole (:func:`repro.artifact.replaced`);
+* :func:`save_dataset` / :func:`load_dataset_file` — lossless round-trip
+  of an :class:`~repro.data.InteractionDataset` as a :mod:`repro.artifact`
+  snapshot whose manifest also records the event-journal offset it
+  covers (:func:`load_snapshot` returns it);
 * :func:`read_interactions_csv` — ``user,item,timestamp`` CSV ingestion
   with dense id re-mapping;
 * :func:`read_item_tags_csv` — ``item,tag`` CSV into the sparse Q matrix;
@@ -15,76 +16,81 @@ generator.  This module provides:
 from __future__ import annotations
 
 import csv
-import json
 import pathlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.artifact import replaced
+from repro.artifact import ArtifactFormat
 from repro.data.dataset import InteractionDataset
 from repro.taxonomy import Taxonomy, extract_relations
 
 
-def _dataset_paths(path: str) -> Tuple[pathlib.Path, pathlib.Path]:
-    """The ``.npz`` / ``.taxonomy.json`` pair for a dataset base path.
+class SnapshotError(Exception):
+    """A dataset snapshot is missing its manifest, unreadable, of another
+    format version, or fails its checksum."""
+
+
+def _snapshot(path) -> Tuple[ArtifactFormat, pathlib.Path]:
+    """The artifact format and directory of a dataset base path.
 
     Suffixes are *appended*, never substituted: ``with_suffix`` would
-    clobber dotted stems (``snap.v1`` and ``snap.v2`` both collapsing to
-    ``snap.npz``), silently cross-loading another snapshot's
-    interactions — fatal for the online loop, which saves versioned
-    snapshots and relies on timestamp ordering for recency weighting.
+    collapse ``snap.v1`` and ``snap.v2`` to one ``snap.npz``, silently
+    cross-loading another snapshot's interactions.
     """
     base = pathlib.Path(path)
     if base.suffix == ".npz":
         base = base.with_suffix("")
-    return (base.parent / (base.name + ".npz"),
-            base.parent / (base.name + ".taxonomy.json"))
+    return (ArtifactFormat(base.name + ".npz", base.name + ".taxonomy.json",
+                           "dataset snapshot", SnapshotError, version=1),
+            base.parent)
 
 
-def save_dataset(dataset: InteractionDataset, path: str) -> None:
-    """Write the dataset to ``<path>.npz`` plus ``<path>.taxonomy.json``."""
-    npz_path, tax_path = _dataset_paths(path)
+def save_dataset(dataset: InteractionDataset, path, *,
+                 journal_offset: int = 0) -> int:
+    """Write ``<path>.npz`` and its manifest ``<path>.taxonomy.json``,
+    recording that the snapshot covers the event journal up to byte
+    ``journal_offset``; returns the arrays file's size in bytes."""
+    fmt, directory = _snapshot(path)
     coo = sp.coo_matrix(dataset.item_tags)
-    with replaced(npz_path, "wb") as fh:
-        np.savez_compressed(
-            fh,
-            user_ids=dataset.user_ids,
-            item_ids=dataset.item_ids,
-            timestamps=dataset.timestamps,
-            n_users=np.array([dataset.n_users]),
-            n_items=np.array([dataset.n_items]),
-            q_row=coo.row, q_col=coo.col,
-            q_shape=np.array(coo.shape),
-        )
-    payload = dataset.taxonomy.to_dict()
-    payload["name"] = dataset.name
-    with replaced(tax_path) as f:
-        json.dump(payload, f)
+    meta = dict(dataset.taxonomy.to_dict(), name=dataset.name,
+                journal_offset=int(journal_offset))
+    fmt.write(directory, {
+        "user_ids": dataset.user_ids, "item_ids": dataset.item_ids,
+        "timestamps": dataset.timestamps,
+        "n_users": np.array([dataset.n_users]),
+        "n_items": np.array([dataset.n_items]),
+        "q_row": coo.row, "q_col": coo.col, "q_shape": np.array(coo.shape),
+    }, meta)
+    return (directory / fmt.arrays_file).stat().st_size
 
 
-def load_dataset_file(path: str) -> InteractionDataset:
-    """Inverse of :func:`save_dataset`."""
-    npz_path, tax_path = _dataset_paths(path)
-    arrays = np.load(npz_path)
-    with open(tax_path) as f:
-        payload = json.load(f)
-    taxonomy = Taxonomy(payload["parents"], payload.get("names"))
+def load_snapshot(path) -> Tuple[InteractionDataset, int]:
+    """The dataset saved at ``path`` and the journal offset it covers;
+    :class:`SnapshotError` when a load check fails."""
+    fmt, directory = _snapshot(path)
+    meta, arrays = fmt.read(directory)
     q = sp.coo_matrix(
         (np.ones(len(arrays["q_row"])),
          (arrays["q_row"], arrays["q_col"])),
         shape=tuple(arrays["q_shape"])).tocsr()
-    return InteractionDataset(
+    dataset = InteractionDataset(
         user_ids=arrays["user_ids"],
         item_ids=arrays["item_ids"],
         timestamps=arrays["timestamps"],
         n_users=int(arrays["n_users"][0]),
         n_items=int(arrays["n_items"][0]),
         item_tags=q,
-        taxonomy=taxonomy,
-        name=payload.get("name", "dataset"),
+        taxonomy=Taxonomy.from_dict(meta),
+        name=meta["name"],
     )
+    return dataset, int(meta["journal_offset"])
+
+
+def load_dataset_file(path) -> InteractionDataset:
+    """Inverse of :func:`save_dataset`."""
+    return load_snapshot(path)[0]
 
 
 def read_interactions_csv(path: str, has_header: bool = True

@@ -18,7 +18,7 @@ import numpy as np
 from repro import obs
 from repro.manifolds.base import Manifold
 from repro.tensor import (Tensor, arcosh, cat, clamp, clamp_min, cosh, norm,
-                          sinh, sqrt)
+                          sinh)
 from repro.tensor import backend as _be
 
 _MIN_NORM = 1e-15
@@ -70,15 +70,6 @@ class Lorentz(Manifold):
         scoring may use either (they induce the same ranking).
         """
         return _be.kernel("lorentz.sqdist")(x, y)
-
-    @staticmethod
-    def tangent_norm(v: Tensor) -> Tensor:
-        """``||v||_L = sqrt(<v, v>_L)`` for tangent vectors (non-negative).
-
-        Tangent vectors at hyperboloid points have non-negative Lorentzian
-        square norm; clamping guards against float round-off below zero.
-        """
-        return sqrt(clamp_min(Lorentz.inner(v, v), 0.0))
 
     @staticmethod
     def logmap0(x: Tensor) -> Tensor:

@@ -75,9 +75,11 @@ class EventJournal:
             fh.flush()
             return fh.tell()
 
-    def read(self, offset: int = 0, max_events: Optional[int] = None
+    def read(self, offset: int = 0, max_events: Optional[int] = None,
+             end: Optional[int] = None
              ) -> Tuple[List[InteractionEvent], int]:
-        """Events from ``offset`` onward, plus the next cursor.
+        """Events from ``offset`` onward (stopping at the line boundary
+        ``end`` when given), plus the next cursor.
 
         Only *complete* lines are consumed: the returned offset always
         points at a line boundary, so it is safe to persist as a replay
@@ -91,7 +93,8 @@ class EventJournal:
         with open(self.path, "rb") as fh:
             fh.seek(int(offset))
             cursor = int(offset)
-            while max_events is None or len(events) < max_events:
+            while ((max_events is None or len(events) < max_events)
+                   and (end is None or cursor < end)):
                 line = fh.readline()
                 if not line:
                     break

@@ -8,11 +8,16 @@ all state lives on disk:
 
     <workdir>/
       journal.jsonl         append-only event log (EventJournal)
-      state.json            replay cursor + current index version
-      dataset.npz           the live dataset snapshot (+ taxonomy.json)
-      checkpoint/           warm-start checkpoint (PR4 format)
+      state.json            ingest cursor + current index version
+      dataset.npz           dataset snapshot arrays (repro.artifact format)
+      dataset.taxonomy.json its manifest: taxonomy, checksum, and the
+                            journal offset the snapshot covers
+      checkpoint/           warm-start checkpoint
       index.v<N>/           versioned RetrievalIndex exports
       CURRENT               name of the live index version
+
+The live dataset is the snapshot plus the journal from the offset it
+covers up to ``state.json``'s cursor, replayed at load (DESIGN.md §13).
 
 The swap verb is a two-level operation: on disk it atomically flips
 ``CURRENT`` to the freshly exported version (readers that follow the
@@ -42,6 +47,7 @@ from repro.online.swap import export_online_index, full_split
 
 CURRENT_FILE = "CURRENT"
 STATE_FILE = "state.json"
+SNAPSHOT = "dataset"
 
 
 class OnlineLoop:
@@ -55,8 +61,9 @@ class OnlineLoop:
         self.dataset_name = dataset_name
         self.seed = int(seed)
         self.journal = EventJournal(self.workdir / "journal.jsonl")
-        self._dataset = None
         self._ingestor: Optional[StreamIngestor] = None
+        self._covered = 0          # journal offset the snapshot covers
+        self._snapshot_bytes = 0   # its arrays file size (0: none yet)
         self._live = []   # attached services/frontends to hot-swap
         self.state: Dict[str, object] = self._load_state()
 
@@ -94,30 +101,44 @@ class OnlineLoop:
         return self.index_dir(version) if version else None
 
     # ------------------------------------------------------------------
-    # Dataset snapshot
+    # Dataset: snapshot + journal replay
     # ------------------------------------------------------------------
     @property
     def dataset(self):
-        if self._dataset is None:
-            from repro.data import load_dataset
-            from repro.data.io import load_dataset_file
-            snapshot = self.workdir / "dataset.npz"
-            if snapshot.is_file():
-                self._dataset = load_dataset_file(snapshot)
-            else:
-                self._dataset = load_dataset(self.dataset_name)
-        return self._dataset
-
-    def _save_dataset(self) -> None:
-        from repro.data.io import save_dataset
-        save_dataset(self.dataset, self.workdir / "dataset")
+        return self.ingestor.dataset
 
     @property
     def ingestor(self) -> StreamIngestor:
+        """The ingestor over the live dataset, loaded on first use: the
+        snapshot (the registry dataset, covering offset 0, when there is
+        none) plus the journal replayed up to the ingest cursor."""
         if self._ingestor is None:
-            self._ingestor = StreamIngestor(self.dataset, self.journal)
-            self._ingestor.offset = int(self.state["journal_offset"])
+            from repro.data import load_dataset
+            from repro.data.io import load_snapshot
+            if any((self.workdir / (SNAPSHOT + suffix)).exists()
+                   for suffix in (".npz", ".taxonomy.json")):
+                dataset, self._covered = load_snapshot(
+                    self.workdir / SNAPSHOT)
+                self._snapshot_bytes = (
+                    self.workdir / (SNAPSHOT + ".npz")).stat().st_size
+            else:
+                dataset = load_dataset(self.dataset_name)
+            ingestor = StreamIngestor(dataset, self.journal)
+            ingestor.offset = self._covered
+            replayed = ingestor.drain(end=int(self.state["journal_offset"]))
+            obs.count("online/events_replayed", replayed["n_read"])
+            self._ingestor = ingestor  # only once the replay is whole
         return self._ingestor
+
+    def _save_dataset(self) -> int:
+        """Snapshot the live dataset as covering the ingest cursor;
+        returns the bytes of its arrays file."""
+        from repro.data.io import save_dataset
+        dataset = self.dataset
+        self._covered = int(self.state["journal_offset"])
+        self._snapshot_bytes = save_dataset(
+            dataset, self.workdir / SNAPSHOT, journal_offset=self._covered)
+        return self._snapshot_bytes
 
     def attach(self, service) -> None:
         """Register a live service/front-end for hot swaps.
@@ -175,14 +196,22 @@ class OnlineLoop:
 
     def ingest(self, max_events: Optional[int] = None
                ) -> Dict[str, object]:
-        """Fold pending journal events into the dataset snapshot."""
+        """Fold pending journal events into the live dataset; rewrite
+        the snapshot (after ``state.json``) only once the journal past
+        the offset it covers outgrows its arrays file."""
         summary = (self.ingestor.drain() if max_events is None
                    else self.ingestor.poll(max_events))
         self.state["journal_offset"] = int(self.ingestor.offset)
-        if summary["n_appended"]:
-            self._save_dataset()
         self._save_state()
+        written = 0
+        if self.ingestor.offset - self._covered > self._snapshot_bytes:
+            written = self._save_dataset()
         if obs.enabled():
+            obs.count("online/events_ingested", summary["n_appended"])
+            obs.count("online/duplicates_skipped", summary["n_duplicates"])
+            obs.count("online/snapshot_bytes_written", written)
+            obs.gauge_set("online/ingest_lag_bytes",
+                          float(self.ingestor.lag_bytes()))
             staleness = self.staleness_s()
             if staleness is not None:
                 obs.gauge_set("online/staleness_s", staleness)
@@ -272,8 +301,6 @@ class OnlineLoop:
             obs.gauge_set("online/cold_start_hit_rate", cold["hit_rate"])
         return {"bootstrap": boot, "simulate": sim, "ingest": ingest,
                 "finetune": finetune, "swap": swap, "cold_start": cold,
-                "events_ingested":
-                    self.ingestor.counters["events_ingested"],
                 "staleness_s": self.staleness_s()}
 
     def cold_start_probe(self, first_new_user: int,

@@ -94,6 +94,26 @@ class TestLogiRecTraining:
             LogiRec(ds.n_users, ds.n_items, ds.n_tags,
                     _cfg(parameterization="spherical"))
 
+    @pytest.mark.parametrize("cls", [LogiRec, LogiRecPP])
+    def test_one_manifold_points_call_per_batch_loss(self, small_setup,
+                                                     cls, monkeypatch):
+        """The logical losses reuse the step's tag centres instead of
+        recomputing every ``expmap0`` table."""
+        ds, split = small_setup
+        model = cls(ds.n_users, ds.n_items, ds.n_tags, _cfg())
+        model.prepare(ds, split)
+        calls = []
+        manifold_points = model._manifold_points
+
+        def counted():
+            calls.append(1)
+            return manifold_points()
+
+        monkeypatch.setattr(model, "_manifold_points", counted)
+        users = np.arange(4)
+        model.batch_loss(users, users, users + 4)
+        assert len(calls) == 1
+
     def test_lam_zero_skips_logic_loss(self, small_setup):
         ds, split = small_setup
         model = LogiRec(ds.n_users, ds.n_items, ds.n_tags, _cfg(lam=0.0))

@@ -25,6 +25,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.weighting import consistency_weights
 from repro.data import (StreamError, SyntheticConfig, generate_dataset,
@@ -233,6 +235,44 @@ class TestStreamIngestor:
         assert summary["n_appended"] == 1
         assert dataset.n_interactions == old_n + 1
         assert lax.lag_bytes() == 0  # the duplicates were consumed
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_duplicate_prefilter_matches_a_seen_set(self, data):
+        """The flat-key prefilter marks exactly what a set of seen pairs,
+        grown event by event, marks: held pairs and repeats after the
+        first occurrence."""
+        dataset = _restart_dataset()
+        held = st.integers(0, dataset.n_interactions - 1).map(
+            lambda j: (int(dataset.user_ids[j]), int(dataset.item_ids[j])))
+        fresh = st.tuples(st.integers(0, dataset.n_users + 2),
+                          st.integers(0, dataset.n_items + 2))
+        pairs = data.draw(st.lists(held | fresh, min_size=1, max_size=60))
+        seen = set(zip(dataset.user_ids.tolist(),
+                       dataset.item_ids.tolist()))
+        expected = []
+        for pair in pairs:
+            expected.append(pair in seen)
+            seen.add(pair)
+        users, items = np.array(pairs, dtype=np.int64).T
+        ingestor = StreamIngestor(dataset, EventJournal("unused.jsonl"))
+        assert ingestor._duplicates(users, items).tolist() == expected
+
+    def test_negative_id_aliasing_a_held_pair_raises_under_skip(
+            self, dataset, tmp_path):
+        """``(u + 1, i - n_items)`` has the flat key of the held pair
+        ``(u, i)``; the duplicate prefilter must not skip it, so the
+        negative id reaches validation and nothing is consumed."""
+        u0, i0 = int(dataset.user_ids[0]), int(dataset.item_ids[0])
+        journal = EventJournal(tmp_path / "j.jsonl")
+        journal.append([InteractionEvent(u0 + 1, i0 - dataset.n_items,
+                                         _next_t(dataset))])
+        old_n = dataset.n_interactions
+        ingestor = StreamIngestor(dataset, journal)
+        with pytest.raises(StreamError, match="negative"):
+            ingestor.poll()
+        assert ingestor.offset == 0
+        assert dataset.n_interactions == old_n
 
     def test_cursor_does_not_advance_past_corruption(self, dataset,
                                                      tmp_path):
@@ -562,13 +602,18 @@ class TestOnlineLoop:
 
     def test_snapshot_write_dying_partway_keeps_previous(
             self, dataset, tmp_path, monkeypatch):
-        """An ingest whose snapshot write dies after two of the arrays
-        leaves the previous ``dataset.npz`` loadable by a restart."""
+        """An ingest whose snapshot rewrite dies after two of the arrays
+        leaves the previous snapshot in place; a restart replays the
+        journal onto it and holds every ingested event."""
         from numpy.lib import format as npy_format
 
         save_dataset(dataset, tmp_path / "dataset")
+        previous = (tmp_path / "dataset.npz").read_bytes()
         loop = OnlineLoop(tmp_path, seed=0)
-        loop.append_events(simulate_events(loop.dataset, 5, seed=1))
+        # Every journal record is at least 20 bytes, so these events
+        # outgrow the snapshot and the ingest rewrites it.
+        n_events = len(previous) // 20 + 1
+        loop.append_events(simulate_events(loop.dataset, n_events, seed=1))
         write_array = npy_format.write_array
         calls = []
 
@@ -583,10 +628,12 @@ class TestOnlineLoop:
             loop.ingest()
         monkeypatch.undo()
 
-        restarted = OnlineLoop(tmp_path, seed=0)
-        assert restarted.dataset.n_interactions == dataset.n_interactions
+        assert (tmp_path / "dataset.npz").read_bytes() == previous
         assert not (tmp_path / "dataset.npz.tmp").exists()
-        assert restarted.ingest()["n_appended"] == 5
+        restarted = OnlineLoop(tmp_path, seed=0)
+        assert (restarted.dataset.n_interactions
+                == dataset.n_interactions + n_events)
+        assert restarted.ingest()["n_appended"] == 0
 
     def test_append_events_accepts_a_generator(self, tmp_path):
         loop = OnlineLoop(tmp_path, seed=0)
@@ -624,3 +671,150 @@ class TestOnlineLoop:
         assert not (tmp_path / "CURRENT.tmp").exists()
         state = json.loads((tmp_path / "state.json").read_text())
         assert state["index_version"] == 1
+
+
+# ----------------------------------------------------------------------
+# Restart: snapshot + journal[covered, cursor) == live dataset
+# ----------------------------------------------------------------------
+class _Killed(BaseException):
+    """A process kill right after a durable write."""
+
+
+def _restart_dataset() -> InteractionDataset:
+    """Small enough that a few hundred events outgrow its snapshot, with
+    room for a thousand more pairs."""
+    return generate_dataset(SyntheticConfig(n_users=30, n_items=40,
+                                            depth=2, branching=2,
+                                            mean_interactions=2.0, seed=4))
+
+
+def _dataset_bytes(ds: InteractionDataset) -> tuple:
+    q = ds.item_tags
+    return (ds.n_users, ds.n_items, ds.user_ids.tobytes(),
+            ds.item_ids.tobytes(), ds.timestamps.tobytes(),
+            q.indptr.tobytes(), q.indices.tobytes(), q.data.tobytes())
+
+
+def _drive(workdir, batches, kill_at=None) -> tuple:
+    """Append then ingest each batch, the process killed right after
+    durable write number ``kill_at`` (a journal append, a ``state.json``
+    write, a completed snapshot); the restarted loop retries the step
+    the kill interrupted, the producer re-sending its whole batch.
+
+    Returns the live dataset's bytes, after checking that a fresh
+    restart (snapshot + journal replay) holds the same bytes.
+    """
+    import os
+    from unittest import mock
+
+    save_dataset(_restart_dataset(), workdir / "dataset")
+    writes = []
+
+    def after_write(result, target=""):
+        # A kill between a snapshot's arrays file and its manifest
+        # leaves a torn pair, detected by the checksum, not replayable.
+        if not str(target).endswith(".npz"):
+            writes.append(target)
+            if len(writes) == kill_at:
+                raise _Killed
+        return result
+
+    replace, append = os.replace, EventJournal.append
+    steps = [step for batch in batches
+             for step in (("append", batch), ("ingest", None))]
+    loop = OnlineLoop(workdir, seed=0)
+    with mock.patch("os.replace", lambda src, dst: after_write(
+            replace(src, dst), dst)), \
+            mock.patch.object(EventJournal, "append", lambda self, ev:
+                              after_write(append(self, ev))):
+        done = 0
+        while done < len(steps):
+            verb, batch = steps[done]
+            try:
+                if verb == "append":
+                    loop.append_events(batch)
+                else:
+                    loop.ingest()
+                done += 1
+            except _Killed:
+                loop = OnlineLoop(workdir, seed=0)
+    live = _dataset_bytes(loop.dataset)
+    assert _dataset_bytes(OnlineLoop(workdir, seed=0).dataset) == live
+    return live
+
+
+class TestRestartReplay:
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(sizes=st.lists(st.integers(1, 150), min_size=1, max_size=5),
+           kill_at=st.integers(1, 20))
+    def test_kill_at_any_write_then_restart_matches_uninterrupted(
+            self, tmp_path_factory, sizes, kill_at):
+        events = simulate_events(_restart_dataset(), 750, n_new_users=4,
+                                 n_new_items=4, seed=2)
+        bounds = np.cumsum([0] + sizes)
+        batches = [events[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        expected = _drive(tmp_path_factory.mktemp("clean"), batches)
+        assert _drive(tmp_path_factory.mktemp("killed"), batches,
+                      kill_at) == expected
+
+    def test_replay_after_snapshot_rewrites(self, tmp_path):
+        """Enough events to rewrite the snapshot; a restart loads the
+        rewritten snapshot and replays only the journal past it."""
+        save_dataset(_restart_dataset(), tmp_path / "dataset")
+        loop = OnlineLoop(tmp_path, seed=0)
+        for seed in range(4):
+            loop.append_events(simulate_events(loop.dataset, 100, seed=seed))
+            loop.ingest()
+        manifest = json.loads(
+            (tmp_path / "dataset.taxonomy.json").read_text())
+        assert 0 < manifest["journal_offset"] < loop.journal.size()
+        restarted = OnlineLoop(tmp_path, seed=0)
+        assert restarted.ingestor.offset == loop.journal.size()
+        assert (_dataset_bytes(restarted.dataset)
+                == _dataset_bytes(loop.dataset))
+
+    def test_replay_failing_partway_raises_on_every_access(self, tmp_path):
+        """A record damaged behind the cursor, past the first replay
+        batch, fails every restart access; none returns the dataset
+        half-replayed."""
+        save_dataset(generate_dataset(SyntheticConfig(
+            n_users=300, n_items=400, depth=2, branching=2,
+            mean_interactions=12.0, seed=4)), tmp_path / "dataset")
+        loop = OnlineLoop(tmp_path, seed=0)
+        loop.append_events(simulate_events(loop.dataset, 1100, seed=1))
+        loop.ingest()
+        assert loop.ingestor.offset > json.loads(
+            (tmp_path / "dataset.taxonomy.json").read_text()
+        )["journal_offset"]  # still to replay
+        blob = bytearray(loop.journal.path.read_bytes())
+        blob[-3] ^= 0xFF  # inside the last record, past 1024 events
+        loop.journal.path.write_bytes(bytes(blob))
+        restarted = OnlineLoop(tmp_path, seed=0)
+        for _ in range(2):
+            with pytest.raises(StreamError):
+                restarted.dataset
+
+    def test_work_counters_are_deterministic(self, dataset, tmp_path):
+        """``online/snapshot_bytes_written`` and ``online/events_replayed``
+        count the same work on two runs of the same seed."""
+        from repro import obs
+
+        def counters(workdir):
+            save_dataset(dataset, workdir / "dataset")
+            run = obs.start_run(run_dir=workdir / "run")
+            try:
+                loop = OnlineLoop(workdir, seed=0)
+                for n_events in (300, 300, 300, 5):
+                    loop.append_events(simulate_events(
+                        loop.dataset, n_events, seed=n_events))
+                    loop.ingest()
+                OnlineLoop(workdir, seed=0).dataset
+                return run.registry.snapshot()["counters"]
+            finally:
+                obs.finish_run()
+
+        first = counters(tmp_path / "a")
+        assert first == counters(tmp_path / "b")
+        assert first["online/snapshot_bytes_written"] > 0
+        assert first["online/events_replayed"] > 0

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.data import SyntheticConfig, generate_dataset, temporal_split
+from repro.data.io import SnapshotError, load_dataset_file, save_dataset
 from repro.experiments.runner import ALL_MODEL_NAMES, build_model
 from repro.models.base import FitState
 from repro.robust import (ResilienceConfig, TrainingSupervisor,
@@ -86,8 +87,9 @@ class TestCheckpointRoundTrip:
 
 @pytest.fixture(scope="module")
 def artifacts(setup, tmp_path_factory):
-    """A trained BPRMF's auto-checkpoint (checkpoint + fit_state sidecar)
-    and its index, saved once; each rejection case damages a copy."""
+    """A trained BPRMF's auto-checkpoint (checkpoint + fit_state sidecar),
+    its index and a dataset snapshot, saved once; each rejection case
+    damages a copy."""
     ds, split = setup
     root = tmp_path_factory.mktemp("artifacts")
     model = build_model("BPRMF", ds, seed=0)
@@ -95,6 +97,7 @@ def artifacts(setup, tmp_path_factory):
     model.fit(ds, split, supervisor=TrainingSupervisor(
         ResilienceConfig(checkpoint_dir=root / "ck")))
     build_index(model, ds, split).save(root / "idx")
+    save_dataset(ds, root / "snap" / "dataset")
     return model, root
 
 
@@ -111,6 +114,10 @@ _ARTIFACTS = {
                   lambda model, path: load_fit_state(
                       path, model.make_optimizer(), FitState()),
                   CheckpointError, "no fit_state"),
+    "dataset_snapshot": ("snap", "dataset.taxonomy.json", "dataset.npz",
+                         lambda model, path: load_dataset_file(
+                             path / "dataset"),
+                         SnapshotError, "no dataset snapshot"),
 }
 
 
