@@ -23,6 +23,8 @@
 #              `error: {exc}` only in main (one error→exit-code table);
 #              importing repro.cli loads no scipy.stats (~1 s of every
 #              CLI call; import it inside the function that needs it);
+#              serve/frontend/ creates no Queue( (its one transport is
+#              a pipe per worker in each direction);
 #   2. tests — the tier-1 pytest suite;
 #   3. smoke — a tiny --telemetry training run must leave a readable
 #              manifest + event log that `repro obs summarize` renders;
@@ -131,6 +133,17 @@ if [ -n "$violations" ]; then
     echo "HdrHistogram constructed outside repro/obs and" \
          "repro/serve/bench.py (record through repro.obs.observe, or time" \
          "load with repro.serve.bench.latency_histogram):"
+    echo "$violations"
+    exit 1
+fi
+echo "ok"
+
+echo "== lint: the serving fleet has one transport (no Queue in frontend/) =="
+violations=$(grep -rnE --include='*.py' '^[^#]*\bQueue[(]' \
+    src/repro/serve/frontend || true)
+if [ -n "$violations" ]; then
+    echo "Queue created in src/repro/serve/frontend (workers talk over" \
+         "their Channel pipes, see supervisor.py):"
     echo "$violations"
     exit 1
 fi

@@ -8,7 +8,7 @@ what the Wilcoxon significance test consumes.
 
 The hot path is fully vectorized: per user-batch it builds the truth and
 train masks from CSR structures made once per evaluator, takes the top
-``max(ks)`` items with :func:`repro.eval.metrics.topk_indices`, and
+``max(ks)`` items with :func:`repro.eval.metrics.masked_topk`, and
 reduces a boolean hit matrix into every metric vector at once.
 :meth:`Evaluator._reference_evaluate` keeps the original per-user loop
 over ``model.score_users``; the equivalence tests pin the vectorized path
@@ -26,8 +26,8 @@ import scipy.sparse as sp
 
 from repro import obs
 from repro.data.dataset import InteractionDataset, Split
-from repro.eval.metrics import (batch_ranking_metrics, ndcg_at_k,
-                                rank_items, recall_at_k, topk_indices)
+from repro.eval.metrics import (batch_ranking_metrics, masked_topk,
+                                ndcg_at_k, rank_items, recall_at_k)
 from repro.manifolds.scoring import score_rows
 
 
@@ -143,13 +143,12 @@ class Evaluator:
                                      batch)] = True
                 truth_counts = truth.sum(axis=1)
                 # Mask train items: out of the ranking, and never a hit.
-                rows, cols = csr_row_coords(self._train.indptr,
-                                            self._train.indices, batch)
-                scores[rows, cols] = -np.inf
-                truth[rows, cols] = False
+                train = csr_row_coords(self._train.indptr,
+                                       self._train.indices, batch)
+                truth[train] = False
                 t_truth += time.perf_counter() - t0
                 t0 = time.perf_counter()
-                topk = topk_indices(scores, kmax)
+                topk = masked_topk(scores, train, kmax)
                 hits = np.take_along_axis(truth, topk, axis=1)
                 t_topk += time.perf_counter() - t0
                 t0 = time.perf_counter()

@@ -6,7 +6,8 @@ Two API layers live here:
   :func:`rank_items`) operating on one user's ranked list — simple,
   obviously-correct implementations that the vectorized evaluator is
   equivalence-tested against;
-* batched helpers (:func:`topk_indices`, :func:`batch_ranking_metrics`)
+* batched helpers (:func:`topk_indices`, :func:`masked_topk`,
+  :func:`batch_ranking_metrics`)
   operating on a ``(batch, n_items)`` score matrix at once — the hot
   path used by :class:`repro.eval.Evaluator` for full-ranking
   evaluation.
@@ -119,6 +120,17 @@ def ideal_dcg_table(k: int) -> np.ndarray:
         table[m] = np.sum(1.0 / np.log2(np.arange(2, m + 2)))
     return table
 
+
+
+def masked_topk(scores: np.ndarray, coords, k: int) -> np.ndarray:
+    """Mask ``coords`` (``(rows, cols)``) to ``-inf`` in place, then rank.
+
+    The one seen-item mask + top-K step of the evaluator and the serving
+    engine; ``coords`` is ``None`` when nothing is excluded.
+    """
+    if coords is not None:
+        scores[coords] = -np.inf
+    return topk_indices(scores, k)
 
 def batch_ranking_metrics(hits: np.ndarray, truth_counts: np.ndarray,
                           ks: Sequence[int]) -> Dict[str, np.ndarray]:

@@ -119,8 +119,10 @@ def score_rows(spec: Mapping[str, object], user_ids) -> np.ndarray:
     """Score matrix of ``user_ids`` against every item under ``spec``.
 
     Always a fresh array.  ``(U @ V.T)[i]`` can differ from
-    ``(U[i:i+1] @ V.T)[0]`` in the last ulp, so callers that must agree
-    row for row (the index and ``recommend``) score ``(1, d)`` rows.
+    ``(U[i:i+1] @ V.T)[0]`` in the last ulp, so a batched row and the
+    ``(1, d)`` row ``recommend`` scores agree up to near-ties: rankings
+    match under the tie rule except where scores lie within a few ulps
+    (DESIGN.md §8).
     """
     kind = spec["kind"]
     ids = np.asarray(user_ids, dtype=np.int64)

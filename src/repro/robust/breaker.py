@@ -82,6 +82,32 @@ class CircuitBreaker:
                 return self._open()
         return False
 
+    def headroom(self, limit: int) -> int:
+        """How many of the next ``limit`` outcomes cannot change the state.
+
+        0 unless closed.  Otherwise the count of failures in a row the
+        window absorbs without opening: no mix of outcomes opens sooner
+        than all failures do, so that many requests may be attempted
+        before any of them is recorded, and each still sees the breaker
+        exactly as it would have one request at a time.
+        """
+        if self.state != CLOSED:
+            return 0
+        size, old = self.policy.window, list(self._window)
+        failures = old.count(False)
+        for n in range(limit):
+            failures += 1
+            total = len(old) + n + 1
+            if total > size:      # the oldest outcome slides out
+                gone = total - size - 1
+                if gone >= len(old) or not old[gone]:
+                    failures -= 1
+            length = min(total, size)
+            if (length >= self.policy.min_requests
+                    and failures / length >= self.policy.threshold):
+                return n
+        return limit
+
     def _open(self) -> bool:
         self._set_state(OPEN)
         self.opens += 1

@@ -20,11 +20,11 @@ Fault kinds
     (a process-kill point: the auto-checkpoint for that epoch, if due,
     has already been written).
 ``score_error``
-    Each guarded scoring call fails with probability ``rate``
+    Each scored row fails with probability ``rate``
     (:class:`InjectedScoringError`).
 ``score_delay``
-    Each guarded scoring call sleeps ``delay_s`` with probability
-    ``rate`` (exercises request timeouts).
+    Each scored row sleeps ``delay_s`` with probability ``rate``
+    (exercises request timeouts).
 ``worker_kill``
     A serving worker process calls ``os._exit`` after handling
     ``after_requests`` requests — the front-end supervisor must detect
@@ -82,7 +82,16 @@ class FaultInjectionError(Exception):
 
 
 class InjectedScoringError(FaultInjectionError):
-    """A scoring call failed because the fault plan said so."""
+    """A scoring call failed because the fault plan said so.
+
+    ``rows`` holds the positions, within the call, of the rows that
+    failed; the serving engine reads it off any scoring exception and
+    takes a missing one to mean every row.
+    """
+
+    def __init__(self, message: str, rows: Optional[List[int]] = None):
+        super().__init__(message)
+        self.rows = rows
 
 
 class SimulatedCrash(FaultInjectionError):
@@ -184,7 +193,7 @@ class FaultPlan:
         return False
 
     # ------------------------------------------------------------------
-    # Serving-side draws (consulted by FaultyIndex per scoring call)
+    # Serving-side draws (consulted by FaultyIndex per scored row)
     # ------------------------------------------------------------------
     def draw_scoring_fault(self) -> Optional[FaultSpec]:
         """One seeded draw per active scoring spec; first hit wins.
@@ -247,9 +256,13 @@ class FaultyIndex:
     """Proxy over a :class:`~repro.serve.RetrievalIndex` that injects
     scoring faults at the exact boundary the serving engine guards.
 
-    Only :meth:`score_user` is intercepted — masks, popularity, and
+    Only :meth:`score_users` is intercepted — masks, popularity, and
     metadata pass straight through — so everything the engine does with
-    a *successful* score stays bit-identical to the clean index.
+    a *successful* score stays bit-identical to the clean index.  A
+    batched call draws one fault per row: delays add up, and when any
+    row draws ``score_error`` the call raises with those rows' positions
+    in ``exc.rows``, so the engine charges exactly one scoring failure
+    per injected fault.
     """
 
     def __init__(self, index, plan: FaultPlan):
@@ -259,11 +272,18 @@ class FaultyIndex:
     def __getattr__(self, name):
         return getattr(self._index, name)
 
-    def score_user(self, user_id: int) -> np.ndarray:
-        spec = self._plan.draw_scoring_fault()
-        if spec is not None:
+    def score_users(self, user_ids) -> np.ndarray:
+        failed: List[int] = []
+        for row in range(len(user_ids)):
+            spec = self._plan.draw_scoring_fault()
+            if spec is None:
+                continue
             if spec.kind == "score_error":
-                raise InjectedScoringError(
-                    f"injected scoring failure for user {user_id}")
-            time.sleep(spec.delay_s)
-        return self._index.score_user(user_id)
+                failed.append(row)
+            else:
+                time.sleep(spec.delay_s)
+        if failed:
+            raise InjectedScoringError(
+                f"injected scoring failure for users "
+                f"{[int(user_ids[row]) for row in failed]}", rows=failed)
+        return self._index.score_users(user_ids)

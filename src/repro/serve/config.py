@@ -30,9 +30,9 @@ class ServiceConfig:
         Mask each user's training items out of their ranking (the same
         policy the evaluator applies).
     batch_size:
-        Mask/top-K micro-batch ceiling inside ``query_batch`` — a
-        memory bound only; scoring stays per-row, so results are
-        independent of it.
+        Most requests per scoring call and mask/top-K pass inside
+        ``query_batch`` — a memory bound only; results do not depend
+        on it beyond near-ties (DESIGN.md §8).
     retry:
         :class:`~repro.robust.policies.RetryPolicy` guarding each index
         scoring call (attempts, backoff, per-request deadline).

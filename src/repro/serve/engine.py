@@ -3,27 +3,32 @@
 :class:`RecommendService` handles single and batched top-K requests,
 configured by one :class:`~repro.serve.ServiceConfig`:
 
-* **Micro-batching** — a batch request scores every uncached user's
-  exact row, masks all seen items in one vectorized CSR pass per chunk,
-  and ranks with one :func:`~repro.eval.metrics.topk_indices` call.
-  Scoring stays per-row (see :mod:`repro.serve.index` for why), so
-  batching is shape-invariant and results are bit-identical to the
-  single-request path.
+* **Micro-batching** — a batch request scores its uncached users with
+  one batched index call (one GEMM), masks all seen items in one
+  vectorized CSR pass per chunk, and ranks with one
+  :func:`~repro.eval.metrics.masked_topk` call.  The core,
+  :meth:`RecommendService.rank_batch`, answers with arrays (an
+  ``(n, k)`` item array and one outcome code per request);
+  :meth:`~RecommendService.query_batch` wraps them in response dicts.
+  A batched score row matches ``recommend``'s one-row scores up to
+  near-ties (see :mod:`repro.serve.index`).
 * **LRU response cache** — bounded, keyed ``(user_id, k)``, with hit /
   miss counters.  ``cache_size=0`` disables it.
-* **Resilience** — every scoring call is guarded by the config's
+* **Resilience** — every request's scoring is guarded by the config's
   :class:`~repro.robust.policies.RetryPolicy` (retry with exponential
   backoff, per-request deadline) behind an error-rate
-  :class:`~repro.robust.CircuitBreaker`.  Callers can additionally
-  propagate absolute per-request deadlines (and front-end admission
-  timestamps) into :meth:`RecommendService.query_batch`, which is how
-  the multi-worker front-end (:mod:`repro.serve.frontend`) threads its
-  edge deadline through queue wait into worker scoring.  A request whose scoring
-  ultimately fails — or arrives while the breaker is open — degrades to
-  the configured fallback (stale index and/or popularity) instead of
-  erroring: the engine's contract is that ``query_batch`` returns a
-  valid ranked list for **every** request, and failures surface in
-  counters, not exceptions.
+  :class:`~repro.robust.CircuitBreaker`; a batched call never changes
+  which requests the breaker lets through, and rows a batched attempt
+  failed retry alone (:meth:`RecommendService._score`).  Callers can
+  additionally propagate absolute per-request deadlines (and front-end
+  admission timestamps) into :meth:`RecommendService.rank_batch`, which
+  is how the multi-worker front-end (:mod:`repro.serve.frontend`)
+  threads its edge deadline through queue wait into worker scoring.  A
+  request whose scoring ultimately fails — or arrives while the breaker
+  is open — degrades to the configured fallback (stale index and/or
+  popularity) instead of erroring: the engine's contract is that every
+  request gets a valid ranked list, and failures surface in counters,
+  not exceptions.
 * **Graceful degradation for unknown users** — a user id outside
   ``[0, n_users)`` never raises; it gets the global popularity top-K
   and is counted as a fallback.
@@ -41,12 +46,36 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import obs
-from repro.eval.metrics import topk_indices
+from repro.eval.metrics import masked_topk
 from repro.robust.breaker import CircuitBreaker
 from repro.serve.config import ServiceConfig
 from repro.serve.index import RetrievalIndex
 
 LOG = obs.get_logger(__name__)
+
+# Per-request outcome codes of RecommendService.rank_batch, and the
+# response fields each stands for: (cached, fallback, degraded, source).
+INDEX, CACHE, UNKNOWN, DEGRADED, STALE = range(5)
+_FIELDS = ((False, False, False, "index"),
+           (True, False, False, "cache"),
+           (False, True, False, "popularity"),
+           (False, True, True, "popularity"),
+           (False, True, True, "stale_index"))
+
+
+def response(user_id: int, items: np.ndarray,
+             code: int) -> Dict[str, object]:
+    """The response dict of one request, from its item row and code.
+
+    Rows are padded with ``-1`` past a catalogue shorter than ``k``; the
+    padding is dropped here.
+    """
+    cached, fallback, degraded, source = _FIELDS[code]
+    items = items.tolist()
+    if items and items[-1] < 0:
+        items = [i for i in items if i >= 0]
+    return {"user_id": user_id, "items": items, "cached": cached,
+            "fallback": fallback, "degraded": degraded, "source": source}
 
 
 def popularity_items(index, uid: Optional[int], k: int,
@@ -126,31 +155,69 @@ class RecommendService:
     # ------------------------------------------------------------------
     # Guarded scoring (retry + deadline + breaker bookkeeping)
     # ------------------------------------------------------------------
-    def _score_guarded(self, uid: int,
-                       deadline: Optional[float] = None
-                       ) -> Optional[np.ndarray]:
-        """One user's exact score row, or None after the retry budget.
+    def _deadline_passed(self, uid: int, attempt: int,
+                         deadline: Optional[float], scored: bool) -> bool:
+        """True (and one timeout counted) when ``deadline`` is behind us."""
+        if deadline is None or time.monotonic() < deadline:
+            return False
+        self.stats["timeouts"] += 1
+        obs.count("serve/timeouts")
+        obs.trace_event("serve/deadline_exceeded", user=uid,
+                        attempt=attempt, scored=scored)
+        return True
 
-        Failures counted here: exceptions out of the index, calls that
-        blow the policy's per-call timeout, and calls that blow the
+    def _attempt_ok(self, uid: int, attempt: int,
+                    deadline: Optional[float],
+                    error: Optional[Exception] = None,
+                    elapsed: float = 0.0) -> bool:
+        """Charge one finished scoring attempt; True when its row is usable.
+
+        Failures counted here: an exception out of the index, an attempt
+        that blew the policy's per-call timeout, and one that blew the
         request's absolute ``deadline`` (``time.monotonic()`` seconds —
         the engine cannot preempt a running numpy kernel, so both are
         checked after the fact; injected delays and real stalls both
-        register).  A deadline that expires before *any* scoring was
-        attempted still degrades the request — and increments
-        ``timeouts`` — but does not feed the circuit breaker: the index
-        was never exercised, so its health is unknown.  Otherwise the
-        request's *final* outcome feeds the breaker exactly once.
+        register).
+        """
+        if error is not None:
+            self.stats["scoring_failures"] += 1
+            obs.count("serve/scoring_failures")
+            obs.trace_event("serve/scoring_error", user=uid,
+                            attempt=attempt, error=type(error).__name__)
+            LOG.warning("scoring user %d failed (attempt %d/%d): %s",
+                        uid, attempt + 1, self.config.retry.retries + 1,
+                        error)
+            return False
+        timeout = self.config.retry.timeout_s
+        if timeout is not None and elapsed > timeout:
+            event, detail = "serve/timeout", {}
+        elif deadline is not None and time.monotonic() > deadline:
+            event, detail = "serve/deadline_exceeded", {"scored": True}
+        else:
+            return True
+        self.stats["timeouts"] += 1
+        self.stats["scoring_failures"] += 1
+        obs.count("serve/timeouts")
+        obs.count("serve/scoring_failures")
+        obs.trace_event(event, user=uid, attempt=attempt, **detail)
+        return False
+
+    def _score_guarded(self, uid: int, deadline: Optional[float] = None,
+                       first: int = 0) -> Optional[np.ndarray]:
+        """One user's ``(1, n_items)`` scores alone, or None after retries.
+
+        Runs attempts ``first ..`` of the retry budget (``first=1`` after
+        a failed batched attempt).  A deadline that expires before *any*
+        scoring was attempted still degrades the request — and
+        increments ``timeouts`` — but does not feed the circuit breaker:
+        the index was never exercised, so its health is unknown.
+        Otherwise the request's *final* outcome feeds the breaker
+        exactly once.
         """
         policy = self.config.retry
-        attempted = False
-        for attempt in range(policy.retries + 1):
-            if (deadline is not None
-                    and time.monotonic() >= deadline):
-                self.stats["timeouts"] += 1
-                obs.count("serve/timeouts")
-                obs.trace_event("serve/deadline_exceeded", user=uid,
-                                attempt=attempt, scored=attempted)
+        attempted = first > 0
+        for attempt in range(first, policy.retries + 1):
+            if self._deadline_passed(uid, attempt, deadline, attempted):
                 break
             if attempt:
                 self.stats["retries"] += 1
@@ -163,40 +230,102 @@ class RecommendService:
                                     max(0.0, deadline - time.monotonic()))
                     time.sleep(pause)
             start = time.perf_counter()
+            error = rows = None
             try:
                 with obs.trace("serve/score", user=uid, attempt=attempt):
-                    row = self.index.score_user(uid)
+                    rows = self.index.score_users([uid])
             except Exception as exc:
-                attempted = True
-                self.stats["scoring_failures"] += 1
-                obs.count("serve/scoring_failures")
-                obs.trace_event("serve/scoring_error", user=uid,
-                                attempt=attempt, error=type(exc).__name__)
-                LOG.warning("scoring user %d failed (attempt %d/%d): %s",
-                            uid, attempt + 1, policy.retries + 1, exc)
-                continue
+                error = exc
             attempted = True
-            if (policy.timeout_s is not None
-                    and time.perf_counter() - start > policy.timeout_s):
-                self.stats["timeouts"] += 1
-                self.stats["scoring_failures"] += 1
-                obs.count("serve/timeouts")
-                obs.count("serve/scoring_failures")
-                obs.trace_event("serve/timeout", user=uid, attempt=attempt)
-                continue
-            if deadline is not None and time.monotonic() > deadline:
-                self.stats["timeouts"] += 1
-                self.stats["scoring_failures"] += 1
-                obs.count("serve/timeouts")
-                obs.count("serve/scoring_failures")
-                obs.trace_event("serve/deadline_exceeded", user=uid,
-                                attempt=attempt, scored=True)
-                continue
-            self._record_outcome(True)
-            return row
+            if self._attempt_ok(uid, attempt, deadline, error,
+                                time.perf_counter() - start):
+                self._record_outcome(True)
+                return rows
         if attempted:
             self._record_outcome(False)
         return None
+
+    def _score(self, positions: List[int], user_ids: List[int],
+               deadlines: list, ctxs: list):
+        """Fresh scores for ``positions``: ``(blocks, failed)``.
+
+        ``blocks`` pairs lists of positions with their score matrices;
+        ``failed`` lists the positions to degrade (short-circuited, past
+        their deadline, or out of retries).  A group of requests is
+        scored in one batched call: at most ``batch_size``, and at most
+        as many as the breaker can record failures for without opening
+        (:meth:`~repro.robust.CircuitBreaker.headroom`), so grouping
+        never changes which requests the breaker lets through.  Rows a
+        batched attempt failed retry alone from attempt 1; rows it did
+        not answer (another row raised, or the whole call blew the
+        per-call timeout) start again alone from attempt 0.
+        """
+        blocks: list = []
+        failed: List[int] = []
+        i = 0
+        while i < len(positions):
+            size = max(1, self.breaker.headroom(
+                min(len(positions) - i, self.config.batch_size)))
+            group, i = positions[i:i + size], i + size
+            live = []
+            for pos in group:
+                uid = user_ids[pos]
+                with obs.bind_trace(ctxs[pos]):
+                    if not self.breaker.allow():
+                        self.stats["breaker_short_circuits"] += 1
+                        obs.count("serve/breaker_short_circuits")
+                        obs.trace_event("serve/short_circuit", user=uid)
+                        failed.append(pos)
+                    elif self._deadline_passed(uid, 0, deadlines[pos],
+                                               False):
+                        failed.append(pos)
+                    else:
+                        live.append(pos)
+            if not live:
+                continue
+            error = scores = None
+            start = time.perf_counter()
+            try:
+                with obs.trace("serve/score", n_users=len(live)):
+                    scores = self.index.score_users(
+                        [user_ids[pos] for pos in live])
+            except Exception as exc:
+                error = exc
+            elapsed = time.perf_counter() - start
+            timeout = self.config.retry.timeout_s
+            slow = (len(live) > 1 and timeout is not None
+                    and elapsed > timeout)
+            bad = set()
+            if error is not None:
+                rows = getattr(error, "rows", None)
+                bad = set(range(len(live)) if rows is None else rows)
+            kept: List[int] = []
+            for row, pos in enumerate(live):
+                uid, deadline = user_ids[pos], deadlines[pos]
+                with obs.bind_trace(ctxs[pos]):
+                    if error is not None:
+                        first = 1 if row in bad else 0
+                        if first:
+                            self._attempt_ok(uid, 0, deadline, error)
+                    elif slow:
+                        first = 0
+                    elif self._attempt_ok(uid, 0, deadline, None,
+                                          elapsed):
+                        self._record_outcome(True)
+                        kept.append(row)
+                        continue
+                    else:
+                        first = 1
+                    alone = self._score_guarded(uid, deadline, first)
+                if alone is None:
+                    failed.append(pos)
+                else:
+                    blocks.append(([pos], alone))
+            if len(kept) == len(live):
+                blocks.append((live, scores))
+            elif kept:
+                blocks.append(([live[row] for row in kept], scores[kept]))
+        return blocks, failed
 
     def _record_outcome(self, ok: bool) -> None:
         if self.breaker.record(ok):
@@ -219,27 +348,27 @@ class RecommendService:
         return popularity_items(self.index, uid, k,
                                 self.config.exclude_seen)
 
-    def _degraded_items(self, uid: int, k: int) -> "tuple[np.ndarray, str]":
+    def _degraded_items(self, uid: int, k: int) -> "tuple[np.ndarray, int]":
         """Best available ranking when primary scoring is unavailable."""
         if (self.config.fallback == "stale_index"
                 and self.fallback_index is not None):
             try:
-                scores = self.fallback_index.score_user(uid).copy()
-                if self.config.exclude_seen:
-                    seen = self.fallback_index.seen_items(uid)
-                    scores[seen] = -np.inf
+                stale = self.fallback_index
+                scores = stale.score_users([uid])
+                coords = stale.mask_coords(np.array([uid])) \
+                    if self.config.exclude_seen else None
+                items = masked_topk(scores, coords, k)[0]
                 self.stats["stale_index_hits"] += 1
                 obs.count("serve/stale_index_hits")
-                return topk_indices(scores, k).astype(np.int64), \
-                    "stale_index"
+                return items, STALE
             except Exception as exc:
                 LOG.warning("stale-index fallback failed for user %d: "
                             "%s; using popularity", uid, exc)
-        return self._popularity_items(uid, k), "popularity"
+        return self._popularity_items(uid, k), DEGRADED
 
-    def _fallback_response(self, uid: int, k: int,
-                           degraded: bool) -> Dict[str, object]:
-        """A valid ranked response without fresh primary scores.
+    def _fallback(self, uid: int, k: int,
+                  degraded: bool) -> "tuple[np.ndarray, int]":
+        """A valid ranking without fresh primary scores, and its code.
 
         ``degraded=False`` is the unknown-user path (policy, not
         failure): raw popularity, exactly as PR4 served it.
@@ -249,14 +378,12 @@ class RecommendService:
         if degraded:
             self.stats["degraded"] += 1
             obs.count("serve/degraded")
-            items, source = self._degraded_items(uid, k)
+            items, code = self._degraded_items(uid, k)
         else:
-            items, source = self.index.popularity[:k], "popularity"
+            items, code = self.index.popularity[:k], UNKNOWN
         obs.trace_event("serve/fallback", user=uid, degraded=degraded,
-                        source=source)
-        return {"user_id": uid, "items": [int(i) for i in items],
-                "cached": False, "fallback": True, "degraded": degraded,
-                "source": source}
+                        source=_FIELDS[code][3])
+        return items, code
 
     # ------------------------------------------------------------------
     # Queries
@@ -269,20 +396,40 @@ class RecommendService:
                     k: Optional[int] = None, *,
                     deadlines=None,
                     enqueued_at=None) -> List[Dict[str, object]]:
-        """Top-K for each requested user.
+        """Top-K for each requested user, one dict per request.
 
-        Returns one dict per request, in request order::
+        A thin wrapper over :meth:`rank_batch` (same arguments), in
+        request order::
 
             {"user_id": int, "items": [int, ...], "cached": bool,
              "fallback": bool, "degraded": bool, "source": str}
 
         ``source`` is one of ``"index"``, ``"cache"``, ``"popularity"``,
-        ``"stale_index"``.  Known users whose scoring succeeds get
-        exactly what ``model.recommend(u, k, exclude=<train items>)``
-        returns on the live model; unknown users get the popularity
-        fallback; scoring failures and an open breaker degrade to the
-        configured fallback.  Every request gets a ranked list — the
-        engine never lets a scoring exception escape.
+        ``"stale_index"``.
+        """
+        user_ids = [int(u) for u in user_ids]
+        items, codes = self.rank_batch(user_ids, k, deadlines=deadlines,
+                                       enqueued_at=enqueued_at)
+        return [response(uid, row, code)
+                for uid, row, code in zip(user_ids, items,
+                                          codes.tolist())]
+
+    def rank_batch(self, user_ids: Sequence[int], k: Optional[int] = None,
+                   *, deadlines=None, enqueued_at=None):
+        """The engine's core: ``(items, codes)`` for a batch of requests.
+
+        ``items`` is an ``(n, k)`` int64 array, row ``i`` the ranked list
+        of request ``i`` (padded with ``-1`` past a catalogue shorter
+        than ``k``); ``codes`` holds one int8 outcome code per request
+        (``INDEX``, ``CACHE``, ``UNKNOWN``, ``DEGRADED``, ``STALE``;
+        :func:`response` turns a row and its code into the response
+        dict).  Known users whose scoring succeeds get what
+        ``model.recommend(u, k, exclude=<train items>)`` returns on the
+        live model, up to near-ties (:mod:`repro.serve.index`); unknown
+        users get the popularity fallback; scoring failures and an open
+        breaker degrade to the configured fallback.  Every request gets
+        a ranked list — the engine never lets a scoring exception
+        escape.
 
         ``deadlines`` propagates per-request absolute deadlines
         (``time.monotonic()`` seconds; a scalar applies to the whole
@@ -299,119 +446,89 @@ class RecommendService:
         """
         k = self.config.k if k is None else int(k)
         user_ids = [int(u) for u in user_ids]
+        n = len(user_ids)
         if deadlines is None or isinstance(deadlines, (int, float)):
-            deadlines = [deadlines] * len(user_ids)
+            deadlines = [deadlines] * n
         else:
             deadlines = list(deadlines)
+        items = np.full((n, k), -1, dtype=np.int64)
+        codes = np.full(n, INDEX, dtype=np.int8)
         # One enabled() check per batch gates all per-request telemetry
         # (trace minting, binding, latency recording) so the disabled
         # path stays within the 2% overhead budget.
         telemetry = obs.enabled()
-        ctxs: List[Optional[obs.TraceContext]] = [None] * len(user_ids)
+        ctxs: List[Optional[obs.TraceContext]] = [None] * n
         t_batch = time.monotonic() if telemetry else 0.0
-        with obs.trace("serve/query_batch", n_requests=len(user_ids),
-                       k=k):
-            results: List[Optional[Dict[str, object]]] = (
-                [None] * len(user_ids))
 
-            def _complete(pos: int) -> None:
-                # Per-request latency is admission (enqueued_at, when
-                # the caller supplied it; batch entry otherwise) → this
-                # request's completion: honest about both front-end
-                # queueing and micro-batched work.
-                result = results[pos]
-                enq = t_batch if enqueued_at is None \
-                    else float(enqueued_at[pos])
-                obs.observe("serve/queue_wait_ms",
-                            max(0.0, t_batch - enq) * 1e3)
-                dur = time.monotonic() - enq
-                obs.observe("serve/latency_ms", dur * 1e3)
-                obs.record_span("serve/request", dur,
-                                user=result["user_id"],
-                                source=result["source"],
-                                trace=ctxs[pos].trace_id)
+        def _answer(pos: int, row: np.ndarray, code: int) -> None:
+            items[pos, :len(row)] = row
+            codes[pos] = code
+            if telemetry:
+                _complete(pos)
 
+        def _complete(pos: int) -> None:
+            # Per-request latency is admission (enqueued_at, when
+            # the caller supplied it; batch entry otherwise) → this
+            # request's completion: honest about both front-end
+            # queueing and micro-batched work.
+            enq = t_batch if enqueued_at is None \
+                else float(enqueued_at[pos])
+            obs.observe("serve/queue_wait_ms",
+                        max(0.0, t_batch - enq) * 1e3)
+            dur = time.monotonic() - enq
+            obs.observe("serve/latency_ms", dur * 1e3)
+            obs.record_span("serve/request", dur, user=user_ids[pos],
+                            source=_FIELDS[codes[pos]][3],
+                            trace=ctxs[pos].trace_id)
+
+        def _fallback(pos: int, degraded: bool) -> None:
+            with obs.bind_trace(ctxs[pos]):
+                row, code = self._fallback(user_ids[pos], k, degraded)
+            _answer(pos, row, code)
+
+        with obs.trace("serve/query_batch", n_requests=n, k=k):
             to_score: List[int] = []      # positions needing fresh scores
             for pos, uid in enumerate(user_ids):
                 self.stats["requests"] += 1
                 if telemetry:
                     ctxs[pos] = obs.new_trace("serve/request", user=uid)
                 if not 0 <= uid < self.index.n_users:
-                    with obs.bind_trace(ctxs[pos]):
-                        results[pos] = self._fallback_response(
-                            uid, k, degraded=False)
-                    if telemetry:
-                        _complete(pos)
+                    _fallback(pos, degraded=False)
                     continue
                 cached = self._cache_get((uid, k))
-                if cached is not None:
-                    self.stats["cache_hits"] += 1
-                    results[pos] = {"user_id": uid,
-                                    "items": [int(i) for i in cached],
-                                    "cached": True, "fallback": False,
-                                    "degraded": False, "source": "cache"}
-                    if telemetry:
-                        with obs.bind_trace(ctxs[pos]):
-                            obs.trace_event("serve/cache_hit", user=uid)
-                        _complete(pos)
-                else:
+                if cached is None:
                     self.stats["cache_misses"] += 1
                     to_score.append(pos)
-            scored_pos: List[int] = []
-            rows: List[np.ndarray] = []
-
-            def _score_one(pos: int) -> bool:
-                """True when the request still awaits the top-K pass."""
-                uid = user_ids[pos]
-                if not self.breaker.allow():
-                    self.stats["breaker_short_circuits"] += 1
-                    obs.count("serve/breaker_short_circuits")
-                    obs.trace_event("serve/short_circuit", user=uid)
-                    results[pos] = self._fallback_response(uid, k,
-                                                           degraded=True)
-                    return False
-                row = self._score_guarded(uid, deadline=deadlines[pos])
-                if row is None:
-                    results[pos] = self._fallback_response(uid, k,
-                                                           degraded=True)
-                    return False
-                scored_pos.append(pos)
-                rows.append(row)
-                return True
-
-            for pos in to_score:
+                    continue
+                self.stats["cache_hits"] += 1
                 if telemetry:
                     with obs.bind_trace(ctxs[pos]):
-                        pending = _score_one(pos)
-                    if not pending:
-                        _complete(pos)
-                else:
-                    _score_one(pos)
-            chunk = self.config.batch_size
-            for start in range(0, len(scored_pos), chunk):
-                positions = scored_pos[start:start + chunk]
-                batch = np.array([user_ids[pos] for pos in positions],
-                                 dtype=np.int64)
-                scores = np.stack(rows[start:start + chunk])
-                if self.config.exclude_seen:
-                    mask_rows, mask_cols = self.index.mask_coords(batch)
-                    scores[mask_rows, mask_cols] = -np.inf
-                topk = topk_indices(scores, k)
-                for row_i, pos in enumerate(positions):
-                    uid = user_ids[pos]
-                    items = topk[row_i].astype(np.int64)
-                    self._cache_put((uid, k), items)
-                    results[pos] = {"user_id": uid,
-                                    "items": [int(i) for i in items],
-                                    "cached": False, "fallback": False,
-                                    "degraded": False, "source": "index"}
-                    if telemetry:
-                        _complete(pos)
+                        obs.trace_event("serve/cache_hit", user=uid)
+                _answer(pos, cached, CACHE)
+            blocks, failed = self._score(to_score, user_ids, deadlines,
+                                         ctxs)
+            for pos in failed:
+                _fallback(pos, degraded=True)
+            per_row = telemetry or self.config.cache_size > 0
+            n_scored = 0
+            for positions, scores in blocks:   # each <= batch_size rows
+                n_scored += len(positions)
+                coords = self.index.mask_coords(
+                    np.array([user_ids[pos] for pos in positions],
+                             dtype=np.int64)) \
+                    if self.config.exclude_seen else None
+                topk = masked_topk(scores, coords, k)
+                if not per_row:
+                    items[positions, :topk.shape[1]] = topk
+                    continue
+                for row, pos in zip(topk, positions):
+                    self._cache_put((user_ids[pos], k), row)
+                    _answer(pos, row, INDEX)
             if telemetry:
-                obs.count("serve/requests", len(user_ids))
-                obs.count("serve/scored_users", len(scored_pos))
-                obs.observe("serve/batch_size", float(len(user_ids)))
-        return results  # type: ignore[return-value]
+                obs.count("serve/requests", n)
+                obs.count("serve/scored_users", n_scored)
+                obs.observe("serve/batch_size", float(n))
+        return items, codes
 
     # ------------------------------------------------------------------
     # Hot swap (online learning)

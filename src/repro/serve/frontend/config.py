@@ -27,8 +27,9 @@ from repro.serve.config import ServiceConfig
 # Requests per dispatched message and per worker engine call.
 MAX_BATCH = 64
 
-# Idle worker heartbeat period (busy workers heartbeat via their
-# result messages).
+# Worker heartbeat period: idle workers heartbeat this often, busy ones
+# after a result once this much time has passed.  Heartbeats alone
+# carry a worker's stats and breaker snapshot.
 HEARTBEAT_INTERVAL_S = 0.1
 
 

@@ -36,10 +36,18 @@ The robustness contract, end to end:
   ``status="draining"``), flushes every in-flight request, then tears
   down workers and shared memory.  Zero admitted requests are dropped.
 
+**Transport.**  Each worker generation has one pipe per direction,
+written by its sender (:class:`~repro.serve.frontend.supervisor.
+Channel`): the dispatcher writes requests without ever blocking on one
+worker (a message that would block waits in that worker's outbox and
+fails over with it), and the response pump waits on every worker's
+reply pipe with :func:`multiprocessing.connection.wait`.
+
 Telemetry is single-writer by construction: workers run with
-observability quiesced and ship raw stats on every message; the
-response pump re-emits latency/queue-wait histograms, counters, and
-per-request spans under the trace context minted at admission, so
+observability quiesced and ship raw stats on heartbeats; the response
+pump re-emits latency/queue-wait histograms, counters (among them
+``frontend/reply_bytes``, the bytes of the RESULT messages it read),
+and per-request spans under the trace context minted at admission, so
 ``repro obs export-trace`` renders cross-process requests on one
 timeline.
 """
@@ -47,18 +55,22 @@ timeline.
 from __future__ import annotations
 
 import itertools
+import pickle
 import threading
 import time
 from concurrent.futures import Future
+from multiprocessing.connection import wait
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro import obs
 from repro.robust.faults import FaultPlan
-from repro.serve.engine import popularity_items
+from repro.serve.engine import DEGRADED, UNKNOWN, popularity_items, response
 from repro.serve.frontend.config import MAX_BATCH, FrontendConfig
 from repro.serve.frontend.sharding import create_shards
 from repro.serve.frontend.supervisor import WorkerSupervisor
-from repro.serve.frontend.worker import BYE, HEARTBEAT, RESULT
+from repro.serve.frontend.worker import HEARTBEAT, RESULT, SHED
 from repro.serve.index import RetrievalIndex
 
 LOG = obs.get_logger(__name__)
@@ -70,6 +82,10 @@ _EWMA_ALPHA = 0.2
 
 # Supervisor poll period for crash/stall detection.
 HEALTH_CHECK_INTERVAL_S = 0.1
+
+# How long the dispatcher sleeps before retrying a worker outbox that a
+# full pipe left waiting.
+_OUTBOX_RETRY_S = 0.005
 
 # Default budget for draining in-flight requests, on shutdown and in the
 # pause window of an index swap, before stragglers fall back.
@@ -140,7 +156,6 @@ class ServingFrontend:
         import multiprocessing
         self._mp = multiprocessing.get_context("fork")
         self._arena = None
-        self._response_queue = None
         self.supervisor: Optional[WorkerSupervisor] = None
         self._lock = threading.Lock()
         self._pending: Dict[int, PendingRequest] = {}
@@ -170,9 +185,8 @@ class ServingFrontend:
         if self._started:
             return self
         self._arena = create_shards(self.index, self.config.n_workers)
-        self._response_queue = self._mp.Queue()
         self.supervisor = WorkerSupervisor(
-            self._arena.layout, self.config, self._response_queue,
+            self._arena.layout, self.config,
             faults=self.faults, mp_context=self._mp,
             on_failure=self._failover)
         self.supervisor.start()
@@ -248,10 +262,6 @@ class ServingFrontend:
         for thread in self._threads:
             thread.join(timeout=2.0)
         self._threads = []
-        if self._response_queue is not None:
-            self._response_queue.close()
-            self._response_queue.join_thread()
-            self._response_queue = None
         if self._arena is not None:
             self._arena.close()
             self._arena = None
@@ -266,26 +276,22 @@ class ServingFrontend:
         The protocol, in order:
 
         1. **Warm.**  A complete replacement fleet — new shared-memory
-           arena, new response queue, new :class:`WorkerSupervisor` —
-           is built and brought to ready while the old fleet keeps
-           serving.  The queues are separate by design: worker ids and
-           generations restart from scratch in the new supervisor, so
-           sharing the old queue would let stale messages collide in
-           ``note_alive`` / ``is_current``.
+           arena, new :class:`WorkerSupervisor` with its own pipes — is
+           built and brought to ready while the old fleet keeps
+           serving; this thread pumps the new fleet's heartbeats until
+           the cutover.
         2. **Pause + drain.**  The dispatcher stops handing batches to
            workers (``submit`` stays open — arrivals queue up) and the
            in-flight requests on the old fleet drain through the old
            response pump.  Stragglers past :data:`DRAIN_TIMEOUT_S` resolve
            from the degraded fallback — allowed in the swap window,
            never dropped.
-        3. **Cutover.**  Under the lock, supervisor / arena / response
-           queue / index rebind atomically and the dispatcher resumes
-           against the new fleet.  The pump re-reads the queue
-           attribute every iteration, so it follows the swap on its
-           next ``get``.
-        4. **Teardown.**  The old supervisor stops, then its queue and
-           arena close.  A late message from an old worker at most
-           lands one no-op ``note_alive`` before the old queue dies.
+        3. **Cutover.**  Under the lock, supervisor / arena / index
+           rebind atomically and the dispatcher resumes against the new
+           fleet.  The pump re-reads the supervisor every iteration, so
+           it follows the swap on its next wait.
+        4. **Teardown.**  The old supervisor stops (closing its pipes),
+           then its arena closes.
 
         Post-swap, users/items that exist only in ``new_index`` are
         servable: admission checks ``self.index.n_users``, which now
@@ -299,20 +305,18 @@ class ServingFrontend:
             if self._swapping:
                 raise RuntimeError("an index swap is already in progress")
             self._swapping = True
-        new_arena = new_queue = new_sup = None
+        new_arena = new_sup = None
         try:
             # Phase 1: warm the replacement fleet (old fleet serving).
             new_arena = create_shards(new_index, self.config.n_workers)
-            new_queue = self._mp.Queue()
             # The replacement starts with a clean slate: no fault plan
             # (a swap is also the recovery path out of an injected
             # fault) and no failover hook until it owns live requests.
             new_sup = WorkerSupervisor(
-                new_arena.layout, self.config, new_queue,
+                new_arena.layout, self.config,
                 faults=None, mp_context=self._mp, on_failure=None)
             new_sup.start()
-            new_sup.wait_ready(
-                lambda: self._pump_swap_queue(new_queue, new_sup))
+            new_sup.wait_ready(lambda: self._pump_once(new_sup, 0.005))
 
             # Phase 2: pause dispatch, drain in-flight on the old fleet.
             with self._lock:
@@ -337,23 +341,18 @@ class ServingFrontend:
                         pending.user_id, pending.k))
                     swept += 1
                 old_sup = self.supervisor
-                old_queue = self._response_queue
                 old_arena = self._arena
                 self.supervisor = new_sup
-                self._response_queue = new_queue
                 self._arena = new_arena
                 self.index = new_index
                 new_sup.on_failure = self._failover
                 self.counters["index_swaps"] += 1
                 self._swap_pausing = False
                 self._admit_cv.notify_all()
-            new_arena = new_queue = new_sup = None  # now owned live
+            new_arena = new_sup = None  # now owned live
         except Exception:
             if new_sup is not None:
                 new_sup.stop()
-            if new_queue is not None:
-                new_queue.close()
-                new_queue.join_thread()
             if new_arena is not None:
                 new_arena.close()
             raise
@@ -367,8 +366,6 @@ class ServingFrontend:
         # it — phase 2/3 drained or resolved every assigned request).
         old_sup.on_failure = None
         old_sup.stop()
-        old_queue.close()
-        old_queue.join_thread()
         old_arena.close()
         latency_ms = (time.monotonic() - t0) * 1e3
         if self.config.telemetry:
@@ -384,33 +381,6 @@ class ServingFrontend:
         return {"swap_latency_ms": latency_ms, "stragglers": swept,
                 "n_users": new_index.n_users,
                 "n_items": new_index.n_items}
-
-    def _pump_swap_queue(self, response_queue, supervisor) -> None:
-        """Drain a warming fleet's own queue (heartbeats) during a swap.
-
-        The main pump thread still owns the *old* queue at this point;
-        readiness heartbeats of the replacement fleet flow through here
-        until the cutover hands its queue to the main pump.
-        """
-        import queue as queue_mod
-        try:
-            while True:
-                message = response_queue.get_nowait()
-                tag = message[0]
-                if tag == HEARTBEAT:
-                    _, worker_id, generation, _, handled, stats, \
-                        breaker = message
-                    supervisor.note_alive(worker_id, generation,
-                                          handled, stats, breaker)
-                elif tag == RESULT:
-                    _, worker_id, generation, _, _, stats, breaker = \
-                        message
-                    supervisor.note_alive(worker_id, generation,
-                                          stats.get("requests", 0),
-                                          stats, breaker)
-        except queue_mod.Empty:
-            pass
-        time.sleep(0.005)
 
     # ------------------------------------------------------------------
     # Admission (any thread)
@@ -471,12 +441,8 @@ class ServingFrontend:
             # anyway.  Answer at the edge, same schema as the engine.
             if not 0 <= uid < self.index.n_users:
                 self.counters["unknown_users"] += 1
-                self._resolve_locked(pending, {
-                    "user_id": uid,
-                    "items": [int(i)
-                              for i in self.index.popularity[:k]],
-                    "cached": False, "fallback": True,
-                    "degraded": False, "source": "popularity"})
+                self._resolve_locked(pending, response(
+                    uid, self.index.popularity[:k], UNKNOWN))
                 return pending.future
             self._pending[pending.req_id] = pending
             self._admitted.append(pending)
@@ -498,11 +464,9 @@ class ServingFrontend:
         Same ranking the worker's engine would serve in its own
         degraded path, computed from the parent's copy of the index.
         """
-        items = popularity_items(self.index, uid, k,
-                                 self.config.service.exclude_seen)
-        return {"user_id": uid, "items": [int(i) for i in items],
-                "cached": False, "fallback": True, "degraded": True,
-                "source": "popularity"}
+        return response(uid, popularity_items(
+            self.index, uid, k, self.config.service.exclude_seen),
+            DEGRADED)
 
     def _resolve_locked(self, pending: PendingRequest,
                         result: Dict[str, object],
@@ -586,17 +550,23 @@ class ServingFrontend:
     # Dispatcher thread
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
+        waiting = set()   # channels whose outbox a full pipe left behind
         while True:
             with self._admit_cv:
                 # A swap in its pause window holds dispatch entirely:
                 # arrivals keep queueing in _admitted and flow to the
                 # new fleet the moment the cutover notifies.
                 while ((not self._admitted or self._swap_pausing)
-                        and not self._stopping):
+                        and not self._stopping and not waiting):
                     self._admit_cv.wait(timeout=0.1)
                 if self._stopping:
                     return
-                batch, self._admitted = self._admitted, []
+                if self._swap_pausing or not self._admitted:
+                    batch = []
+                    if waiting:
+                        self._admit_cv.wait(timeout=_OUTBOX_RETRY_S)
+                else:
+                    batch, self._admitted = self._admitted, []
                 now = time.monotonic()
                 by_shard: Dict[int, List[PendingRequest]] = {}
                 for pending in batch:
@@ -609,12 +579,12 @@ class ServingFrontend:
                     shard_id = self._arena.layout.shard_for_user(
                         pending.user_id)
                     by_shard.setdefault(shard_id, []).append(pending)
-                plans = []   # (handle|None, shard chunk) built under lock
+                plans = []   # (handle, channel, chunk) built under lock
                 for shard_id, group in by_shard.items():
-                    handle = self.supervisor.route(shard_id)
+                    route = self.supervisor.route(shard_id)
                     for start in range(0, len(group), MAX_BATCH):
                         chunk = group[start:start + MAX_BATCH]
-                        if handle is None:
+                        if route is None:
                             # Shard down (worker restarting): serve the
                             # whole chunk degraded from the parent.
                             for pending in chunk:
@@ -624,62 +594,78 @@ class ServingFrontend:
                                         pending.user_id, pending.k))
                             continue
                         for pending in chunk:
-                            pending.worker_id = handle.worker_id
-                            pending.generation = handle.generation
-                        plans.append((handle, chunk))
-            for handle, chunk in plans:
+                            pending.worker_id, pending.generation = \
+                                route[:2]
+                        plans.append((*route, chunk))
+            for channel in list(waiting):
+                try:
+                    if channel.send():
+                        waiting.discard(channel)
+                except OSError:
+                    waiting.discard(channel)   # closed: failed over
+            for worker_id, generation, channel, chunk in plans:
                 message = [(p.req_id, p.user_id, p.k, p.deadline,
                             p.t_admit) for p in chunk]
                 try:
-                    handle.request_queue.put(message)
-                except Exception:
-                    # Queue died under us (restart race): fail over now.
-                    self._failover(handle.worker_id, handle.generation,
-                                   "request queue closed")
+                    if not channel.send(message):
+                        waiting.add(channel)
+                except OSError:
+                    # Pipe closed under us (restart race): fail over now.
+                    self._failover(worker_id, generation,
+                                   "request pipe closed")
 
     # ------------------------------------------------------------------
     # Response pump thread
     # ------------------------------------------------------------------
     def _pump_loop(self) -> None:
-        import queue as queue_mod
-        while True:
-            try:
-                message = self._response_queue.get(timeout=0.05)
-            except (queue_mod.Empty, OSError, ValueError):
-                if self._stopping:
-                    return
-                continue
-            tag = message[0]
-            if tag == HEARTBEAT:
-                _, worker_id, generation, _, handled, stats, breaker = \
-                    message
-                self.supervisor.note_alive(worker_id, generation,
-                                           handled, stats, breaker)
-            elif tag == RESULT:
-                (_, worker_id, generation, t_start, entries, stats,
-                 breaker) = message
-                self.supervisor.note_alive(worker_id, generation,
-                                           stats.get("requests", 0),
-                                           stats, breaker)
-                current = self.supervisor.is_current(worker_id,
-                                                     generation)
-                with self._lock:
-                    for req_id, payload in entries:
-                        pending = self._pending.get(req_id)
-                        if pending is None:
-                            continue  # already failed over / swept
-                        if not current:
-                            # Late result from a replaced worker; the
-                            # failover already answered or will.
-                            continue
-                        if isinstance(payload, str):
-                            self._shed_locked(pending, payload)
-                        else:
-                            self._resolve_locked(
-                                pending, payload,
-                                queue_wait_s=t_start - pending.t_admit)
-            elif tag == BYE:
-                pass  # exit codes are read by the supervisor's check
+        while not self._stopping:
+            self._pump_once(self.supervisor, 0.05)
+
+    def _pump_once(self, supervisor: WorkerSupervisor,
+                   timeout: float) -> None:
+        """Wait up to ``timeout`` on every reply pipe; handle what came."""
+        channels = {channel.replies: (worker_id, generation, channel)
+                    for worker_id, generation, channel
+                    in supervisor.channels()}
+        try:
+            ready = wait(list(channels), timeout)
+        except (OSError, ValueError):
+            return   # a pipe closed under the wait (restart or swap)
+        telemetry = self.config.telemetry and obs.enabled()
+        for conn in ready:
+            worker_id, generation, channel = channels[conn]
+            buf = channel.recv_bytes()
+            if buf is None:
+                continue   # end-of-file: the supervisor sees the exit
+            message = pickle.loads(buf)
+            if message[0] == HEARTBEAT:
+                supervisor.note_alive(worker_id, generation, message[1:])
+            elif message[0] == RESULT:
+                if telemetry:
+                    obs.count("frontend/reply_bytes", len(buf))
+                if supervisor.note_alive(worker_id, generation):
+                    self._resolve_result(message)
+                # else: a late result from a replaced worker; the
+                # failover already answered or will.
+
+    def _resolve_result(self, message: tuple) -> None:
+        """Answer a RESULT's requests, building each response dict once."""
+        _, t_start, req_ids, items, codes = message
+        items = np.frombuffer(items, dtype=np.int32).reshape(len(codes), -1)
+        with self._lock:
+            for row, (req_id, code) in enumerate(
+                    zip(np.frombuffer(req_ids, dtype=np.int64).tolist(),
+                        codes)):
+                pending = self._pending.get(req_id)
+                if pending is None:
+                    continue  # already failed over / swept
+                if code == SHED:
+                    self._shed_locked(pending, "deadline")
+                else:
+                    self._resolve_locked(
+                        pending, response(pending.user_id,
+                                          items[row, :pending.k], code),
+                        queue_wait_s=t_start - pending.t_admit)
 
     # ------------------------------------------------------------------
     # Monitor thread

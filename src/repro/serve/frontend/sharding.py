@@ -272,8 +272,8 @@ def attach_shard(layout: ShardLayout, shard_id: int) -> _AttachedShard:
     """Map one shard zero-copy; returns the local index view + handles.
 
     The returned index is a plain :class:`RetrievalIndex` over
-    **shard-local** user ids (``score_user(0)`` scores global user
-    ``spec.lo``) whose array views alias the shared segments directly.
+    **shard-local** user ids (``score_users([0])`` scores global
+    user ``spec.lo``) whose array views alias the shared segments directly.
     """
     spec = layout.shards[shard_id]
     handles: List[shared_memory.SharedMemory] = []

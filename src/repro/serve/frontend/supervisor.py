@@ -13,16 +13,17 @@ two distinct failure modes a process fleet has:
   process so the failure collapses into the crash path.
 
 Recovery is restart-with-generation: the replacement worker gets a
-fresh request queue and an incremented generation number, so messages
-from the dead incarnation (late results, stale heartbeats) are
-recognizable and dropped by the parent pump.  While the replacement
+fresh :class:`Channel` (its two pipes) and an incremented generation
+number, so messages from the dead incarnation (late results, stale
+heartbeats) are recognizable and dropped by the parent pump.  While the replacement
 warms up (attaches the shard, builds its engine, sends the first
 heartbeat) the shard's handle reports not-ready and the front-end
 serves that user range from the popularity fallback — degraded, never
 failed.
 
 The supervisor also aggregates per-worker engine stats and circuit-
-breaker snapshots (carried on every heartbeat and result message) into
+breaker snapshots (carried on heartbeats, which a busy worker also
+sends once per heartbeat interval) into
 :meth:`fleet_health` — the per-shard view behind
 ``repro serve http --status``, where one worker's OPEN breaker is
 visible without asking each process.
@@ -30,8 +31,10 @@ visible without asking each process.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
+from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
@@ -48,6 +51,64 @@ DEAD = "dead"
 STOPPED = "stopped"
 
 
+class Channel:
+    """One worker generation's two pipes, each written by its sender.
+
+    The parent writes requests and the worker writes replies; the
+    supervisor closes the child's ends in the parent right after the
+    fork, so a dead worker reads as end-of-file on ``replies``.  Request writes never
+    block: the write end is non-blocking and a request message of
+    :data:`~repro.serve.frontend.config.MAX_BATCH` requests fits in
+    ``PIPE_BUF``, so a write is all or nothing, and a message that
+    would block waits in ``outbox`` for the next :meth:`send` (called
+    with no message to retry).  The locks make :meth:`close` safe
+    against a concurrent send or receive (a closed descriptor number
+    can be reused at once).
+    """
+
+    def __init__(self, mp_context):
+        self.child_requests, self.requests = mp_context.Pipe(duplex=False)
+        self.replies, self.child_replies = mp_context.Pipe(duplex=False)
+        os.set_blocking(self.requests.fileno(), False)
+        self.outbox: deque = deque()
+        self.eof = False
+        self._send_lock = threading.Lock()
+        self._recv_lock = threading.Lock()
+
+    def send(self, *messages) -> bool:
+        """Queue ``messages``, then write the outbox in order.
+
+        True when the outbox is empty afterwards; raises ``OSError``
+        once the channel is closed.
+        """
+        with self._send_lock:
+            self.outbox.extend(messages)
+            while self.outbox:
+                try:
+                    self.requests.send(self.outbox[0])
+                except BlockingIOError:
+                    return False
+                self.outbox.popleft()
+            return True
+
+    def recv_bytes(self) -> Optional[bytes]:
+        """One reply message, or None at end-of-file or once closed."""
+        with self._recv_lock:
+            if self.eof or self.replies.closed:
+                return None
+            try:
+                return self.replies.recv_bytes()
+            except (EOFError, OSError):
+                self.eof = True
+                return None
+
+    def close(self) -> None:
+        with self._send_lock, self._recv_lock:
+            for conn in (self.requests, self.replies, self.child_requests,
+                         self.child_replies):
+                conn.close()
+
+
 class WorkerHandle:
     """Parent-side state for one shard worker (one per shard)."""
 
@@ -56,7 +117,7 @@ class WorkerHandle:
         self.shard_id = shard_id
         self.generation = 0
         self.process = None
-        self.request_queue = None
+        self.channel: Optional[Channel] = None
         self.state = STOPPED
         self.last_heartbeat = 0.0
         self.handled = 0
@@ -81,14 +142,14 @@ class WorkerSupervisor:
     """Spawns, health-checks, and restarts the worker fleet.
 
     ``on_failure(worker_id, generation, reason)`` fires once per
-    detected failure *before* the replacement is spawned — the
-    front-end uses it to fail the dead generation's in-flight requests
-    over to the degraded fallback.  Thread-safe: heartbeats arrive from
-    the response pump while ``check`` runs on the monitor thread.
+    detected failure, after the replacement is spawned — the front-end
+    uses it to fail the dead generation's in-flight requests (its
+    outbox included) over to the degraded fallback.  Thread-safe:
+    heartbeats arrive from the response pump while ``check`` runs on
+    the monitor thread.
     """
 
     def __init__(self, layout: ShardLayout, config: FrontendConfig,
-                 response_queue,
                  faults: Optional[FaultPlan] = None,
                  mp_context=None,
                  on_failure: Optional[
@@ -102,7 +163,6 @@ class WorkerSupervisor:
         self._mp = mp_context
         self.layout = layout
         self.config = config
-        self.response_queue = response_queue
         self.faults = faults
         self.on_failure = on_failure
         self._lock = threading.Lock()
@@ -116,17 +176,19 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------
     def _spawn_locked(self, handle: WorkerHandle) -> None:
         handle.generation += 1
-        handle.request_queue = self._mp.Queue()
+        handle.channel = channel = Channel(self._mp)
         handle.state = STARTING
         handle.last_heartbeat = time.monotonic()
         handle.process = self._mp.Process(
             target=worker_main,
             args=(handle.worker_id, handle.generation, self.layout,
-                  handle.shard_id, self.config, handle.request_queue,
-                  self.response_queue, self.faults),
+                  handle.shard_id, self.config, channel.child_requests,
+                  channel.child_replies, self.faults),
             daemon=True,
             name=f"repro-serve-w{handle.worker_id}")
         handle.process.start()
+        channel.child_requests.close()
+        channel.child_replies.close()
 
     def start(self) -> None:
         with self._lock:
@@ -138,7 +200,7 @@ class WorkerSupervisor:
         """Block until every worker heartbeats (or raise on timeout).
 
         ``drain_responses`` is the front-end's pump step — the caller
-        owns the response queue, so readiness heartbeats must flow
+        reads the reply pipes, so readiness heartbeats must flow
         through it rather than being consumed here.
         """
         budget = self.config.start_timeout_s if timeout is None \
@@ -162,14 +224,14 @@ class WorkerSupervisor:
         with self._lock:
             # Taken under the lock so a concurrent check() can never
             # spawn a replacement after this point (it would be joined
-            # by nobody and leak its queue).
+            # by nobody and leak its pipes).
             self._stopping = True
             handles = list(self.handles)
         for handle in handles:
-            if handle.request_queue is not None:
+            if handle.channel is not None:
                 try:
-                    handle.request_queue.put(SHUTDOWN)
-                except Exception:  # pragma: no cover - queue closed
+                    handle.channel.send(SHUTDOWN)
+                except OSError:  # a dead worker or a closed channel
                     pass
         deadline = time.monotonic() + timeout
         for handle in handles:
@@ -184,40 +246,48 @@ class WorkerSupervisor:
                     proc.kill()
                     proc.join(timeout=1.0)
             handle.state = STOPPED
-            if handle.request_queue is not None:
-                handle.request_queue.close()
-                handle.request_queue.join_thread()
-                handle.request_queue = None
+            if handle.channel is not None:
+                handle.channel.close()
 
     # ------------------------------------------------------------------
     # Health signals (called from the response pump)
     # ------------------------------------------------------------------
-    def note_alive(self, worker_id: int, generation: int, handled: int,
-                   stats: Dict[str, int],
-                   breaker: Dict[str, object]) -> None:
-        """Record a heartbeat or result message from a worker."""
+    def note_alive(self, worker_id: int, generation: int,
+                   health: Optional[Tuple[int, dict, dict]] = None
+                   ) -> bool:
+        """Record a message from a worker; False when it is not current.
+
+        ``health`` is a heartbeat's ``(handled, stats, breaker)``; a
+        result message only proves the worker alive.
+        """
         with self._lock:
             handle = self.handles[worker_id]
             if generation != handle.generation:
-                return  # a replaced incarnation talking past its death
+                return False  # a replaced incarnation past its death
             if handle.state == STARTING:
                 handle.state = READY
                 obs.trace_event("frontend/worker_ready",
                                 worker=worker_id, generation=generation)
             handle.last_heartbeat = time.monotonic()
-            handle.handled = handled
-            handle.stats = stats
-            handle.breaker = breaker
+            if health is not None:
+                handle.handled, handle.stats, handle.breaker = health
+            return True
 
-    def is_current(self, worker_id: int, generation: int) -> bool:
+    def channels(self) -> List[Tuple[int, int, Channel]]:
+        """``(worker_id, generation, channel)`` of every open reply pipe."""
         with self._lock:
-            return generation == self.handles[worker_id].generation
+            return [(h.worker_id, h.generation, h.channel)
+                    for h in self.handles
+                    if h.channel is not None and not h.channel.eof]
 
-    def route(self, shard_id: int) -> Optional[WorkerHandle]:
-        """The ready handle serving ``shard_id``, or None (degraded)."""
+    def route(self, shard_id: int) -> Optional[Tuple[int, int, Channel]]:
+        """``(worker_id, generation, channel)`` of the ready worker
+        serving ``shard_id``, read atomically, or None (degraded)."""
         with self._lock:
             handle = self.handles[shard_id]
-            return handle if handle.ready else None
+            if not handle.ready:
+                return None
+            return handle.worker_id, handle.generation, handle.channel
 
     # ------------------------------------------------------------------
     # Detection and restart (called from the monitor thread)
@@ -278,12 +348,12 @@ class WorkerSupervisor:
                 if self._stopping:
                     break
                 handle = self.handles[worker_id]
-                old_queue = handle.request_queue
+                old_channel = handle.channel
                 handle.restarts += 1
                 self.total_restarts += 1
                 self._spawn_locked(handle)
-            if old_queue is not None:
-                old_queue.close()
+            if old_channel is not None:
+                old_channel.close()
             if self.on_failure is not None:
                 self.on_failure(worker_id, generation, reason)
         return failures

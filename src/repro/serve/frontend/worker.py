@@ -4,29 +4,35 @@ Each worker owns one user-range shard: it attaches the shard's
 shared-memory tables zero-copy (:func:`~repro.serve.frontend.sharding.
 attach_shard`), builds a plain in-process
 :class:`~repro.serve.RecommendService` over the local view, and serves
-its request queue.  All the per-request semantics — retry/deadline
+its request pipe.  All the per-request semantics — retry/deadline
 guards, circuit breaker, LRU cache, fallback ranking — are the
 engine's, unchanged; this module only adds the process shell:
 
-* **coalescing** — after each blocking ``get`` the worker drains the
-  messages already queued behind it with ``get_nowait``, stopping once
-  it holds :data:`~repro.serve.frontend.config.MAX_BATCH` requests.  It
-  scores them as one ``query_batch`` per ``k`` and answers them in one
-  RESULT.  An idle worker thus serves each request as it arrives; a
-  busy one batches exactly what piled up while it was busy.
+* **coalescing** — after each blocking read the worker drains the
+  messages already waiting in its pipe, stopping once it holds
+  :data:`~repro.serve.frontend.config.MAX_BATCH` requests.  It ranks
+  them with one :meth:`~repro.serve.RecommendService.rank_batch` per
+  ``k`` (one scoring GEMM) and answers them in one RESULT.  An idle
+  worker thus serves each request as it arrives; a busy one batches
+  exactly what piled up while it was busy.
+* **array replies** — a RESULT is ``(RESULT, t_start, req_ids, items,
+  codes)``: the request ids (int64), an ``(n, k)`` item array (int32,
+  ``-1`` padded) and one outcome code per request (int8: the engine's
+  codes plus :data:`SHED`), each as raw bytes, in request order.  The
+  parent builds each response dict once, when it resolves the future.
 * **id translation** — requests carry global user ids; the worker
-  subtracts its shard's ``lo`` at the boundary and adds it back in
-  responses, so the engine sees a dense local universe.
-* **heartbeats** — while idle the worker emits a heartbeat every
-  :data:`~repro.serve.frontend.config.HEARTBEAT_INTERVAL_S` carrying
-  its engine stats and breaker snapshot; result messages carry the
-  same payload, so a busy worker is never mistaken for a stalled one
-  and the supervisor's per-shard health view is always one message
-  old at worst.
+  subtracts its shard's ``lo`` at the boundary, so the engine sees a
+  dense local universe (the parent knows each request's global id).
+* **heartbeats** — the worker's engine stats and breaker snapshot ride
+  only on heartbeats: an idle worker sends one every
+  :data:`~repro.serve.frontend.config.HEARTBEAT_INTERVAL_S`, and a busy
+  one after a RESULT once an interval has passed, so the supervisor's
+  per-shard health view is at most about one interval old and every
+  RESULT also proves the worker alive.
 * **deadline pre-shed** — a request whose absolute deadline expired
-  while sitting in the inter-process queue is answered ``"shed"``
-  without touching the engine (no scoring, no breaker feed); the
-  front-end maps that to the load-shedding path.
+  while waiting in the pipe is answered :data:`SHED` without touching
+  the engine (no scoring, no breaker feed); the front-end maps that to
+  the load-shedding path.
 * **fault hooks** — process-level :class:`~repro.robust.FaultSpec`
   kinds (``worker_kill`` / ``worker_stall`` / ``slow_shard``) fire here
   so ``repro robust inject serve`` and the kill-drill benchmark can
@@ -43,9 +49,8 @@ original request traces, keeping ``events.jsonl`` single-writer.
 from __future__ import annotations
 
 import os
-import queue
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -55,10 +60,14 @@ from repro.serve.frontend.config import (HEARTBEAT_INTERVAL_S, MAX_BATCH,
                                          FrontendConfig)
 from repro.serve.frontend.sharding import ShardLayout, attach_shard
 
-# Queue message tags (worker → parent).
+# Message tags (worker → parent).
 HEARTBEAT = "heartbeat"
 RESULT = "result"
 BYE = "bye"
+
+# RESULT outcome code of a request shed for its deadline (the engine's
+# codes are 0..4).
+SHED = 5
 
 # Parent → worker shutdown sentinel.
 SHUTDOWN = None
@@ -152,60 +161,77 @@ class _FaultState:
         return total
 
 
+def _answer(engine: RecommendService, lo: int, requests: list,
+            t_start: float) -> tuple:
+    """Rank a coalesced batch: one RESULT, rows in request order."""
+    n = len(requests)
+    items = np.full((n, max(req[2] for req in requests)), -1,
+                    dtype=np.int32)
+    codes = np.full(n, SHED, dtype=np.int8)
+    now = time.monotonic()
+    by_k: Dict[int, List[int]] = {}
+    for pos, (_, _, k, deadline, _) in enumerate(requests):
+        if deadline is None or now < deadline:
+            by_k.setdefault(k, []).append(pos)
+    for k, positions in by_k.items():
+        ranked, outcomes = engine.rank_batch(
+            [requests[pos][1] - lo for pos in positions], k,
+            deadlines=[requests[pos][3] for pos in positions])
+        items[positions, :k] = ranked
+        codes[positions] = outcomes
+    req_ids = np.array([req[0] for req in requests], dtype=np.int64)
+    return (RESULT, t_start, req_ids.tobytes(), items.tobytes(),
+            codes.tobytes())
+
+
 def worker_main(worker_id: int, generation: int, layout: ShardLayout,
-                shard_id: int, config: FrontendConfig, request_queue,
-                response_queue,
-                faults: Optional[FaultPlan] = None) -> None:
+                shard_id: int, config: FrontendConfig, requests,
+                replies, faults: Optional[FaultPlan] = None) -> None:
     """Run one shard worker until the shutdown sentinel (fork target).
 
-    A request message is a list of ``(req_id, user_id, k, deadline,
-    t_admit)`` tuples (global user id; ``deadline``/``t_admit`` in
-    ``time.monotonic()`` seconds, deadline may be None).  Responses are
-    tagged tuples — see the module constants — and every response
-    carries ``generation`` so the parent can drop messages from a
-    worker it has already replaced.  A RESULT is ``(RESULT, worker_id,
-    generation, t_start, entries, stats, breaker)`` where ``entries``
-    pairs each ``req_id`` with its engine response or a shed reason.
+    ``requests`` and ``replies`` are this worker's ends of its two
+    pipes (``multiprocessing`` connections).  A request message is a
+    list of ``(req_id, user_id, k, deadline, t_admit)`` tuples (global
+    user id; ``deadline``/``t_admit`` in ``time.monotonic()`` seconds,
+    deadline may be None).  Replies are tagged tuples: ``(HEARTBEAT,
+    handled, stats, breaker)``, the RESULT described in the module
+    docstring, and a final ``(BYE,)``.  The pipe names the worker and
+    its generation, so messages do not repeat them.
     """
     _quiesce_observability()
     shard = attach_shard(layout, shard_id)
     engine = RecommendService(shard.index, config.service)
     fault_state = _FaultState(faults, worker_id, shard_id, generation)
     handled = 0
-
-    def _payload() -> Tuple[Dict[str, int], dict]:
-        return dict(engine.stats), engine.breaker.snapshot()
+    next_beat = 0.0
 
     def _heartbeat() -> None:
-        stats, breaker = _payload()
-        response_queue.put((HEARTBEAT, worker_id, generation,
-                            time.monotonic(), handled, stats, breaker))
+        nonlocal next_beat
+        replies.send((HEARTBEAT, handled, dict(engine.stats),
+                      engine.breaker.snapshot()))
+        next_beat = time.monotonic() + HEARTBEAT_INTERVAL_S
 
     try:
         _heartbeat()  # "ready": releases the supervisor's start wait
         shutdown = False
         while not shutdown:
-            try:
-                message = request_queue.get(timeout=HEARTBEAT_INTERVAL_S)
-            except queue.Empty:
+            if not requests.poll(max(0.0, next_beat - time.monotonic())):
                 _heartbeat()
                 continue
+            message = requests.recv()
             if message is SHUTDOWN:
                 break
-            requests = message
+            batch = message
             # Coalesce what queued up behind this worker while it was
             # busy; a sentinel found here ends the loop after the reply.
-            while len(requests) < MAX_BATCH:
-                try:
-                    message = request_queue.get_nowait()
-                except queue.Empty:
-                    break
+            while len(batch) < MAX_BATCH and requests.poll():
+                message = requests.recv()
                 if message is SHUTDOWN:
                     shutdown = True
                     break
-                requests.extend(message)
+                batch.extend(message)
             t_start = time.monotonic()  # queue wait ends here
-            handled += len(requests)
+            handled += len(batch)
             if fault_state.kill_due(handled):
                 # Injected crash mid-batch: die without responding, so
                 # the supervisor must fail over the in-flight work.
@@ -215,39 +241,15 @@ def worker_main(worker_id: int, generation: int, layout: ShardLayout,
                 # Wedged, not dead: no serving, no heartbeats.  Only
                 # heartbeat ageing can catch this.
                 time.sleep(stall)
-            delay = fault_state.slow_delay(len(requests))
+            delay = fault_state.slow_delay(len(batch))
             if delay > 0:
                 time.sleep(delay)
-            now = time.monotonic()
-            shed: List[Tuple[int, str]] = []
-            live: List[Tuple[int, int, int, Optional[float], float]] = []
-            for req in requests:
-                req_id, uid, k, deadline, t_admit = req
-                if deadline is not None and now >= deadline:
-                    shed.append((req_id, "deadline"))
-                else:
-                    live.append(req)
-            entries: List[Tuple[int, object]] = [
-                (req_id, reason) for req_id, reason in shed]
-            by_k: Dict[int, List[Tuple[int, int, Optional[float], float]]]
-            by_k = {}
-            for req_id, uid, k, deadline, t_admit in live:
-                by_k.setdefault(k, []).append(
-                    (req_id, uid, deadline, t_admit))
-            for k, group in by_k.items():
-                local = [uid - shard.lo for _, uid, _, _ in group]
-                results = engine.query_batch(
-                    local, k,
-                    deadlines=[deadline for _, _, deadline, _ in group])
-                for (req_id, uid, _, _), result in zip(group, results):
-                    result["user_id"] = uid  # back to the global id
-                    entries.append((req_id, result))
-            stats, breaker = _payload()
-            response_queue.put((RESULT, worker_id, generation, t_start,
-                                entries, stats, breaker))
+            replies.send(_answer(engine, shard.lo, batch, t_start))
+            if not shutdown and time.monotonic() >= next_beat:
+                _heartbeat()
     finally:
         try:
-            response_queue.put((BYE, worker_id, generation))
-        except Exception:  # pragma: no cover - queue torn down first
+            replies.send((BYE,))
+        except Exception:  # pragma: no cover - parent end closed first
             pass
         shard.close()

@@ -5,18 +5,20 @@
 graph models this is the payoff of serving offline: ``score_users`` on
 the live model re-runs the full (hyperbolic) graph convolution per call,
 while the index stores the *propagated* tables once and replays only the
-final distance arithmetic — one small matvec per request.
+final distance arithmetic — one GEMM per batch of requests.
 
 Exactness contract
 ------------------
-``RetrievalIndex.score_user(u)`` is bit-identical to
-``model.score_users(np.array([u]))[0]`` by construction: both are
-:func:`repro.manifolds.score_rows` on the same exported spec, called on
-the ``(1, d)`` row ``recommend()`` uses.  The row shape matters because
-batched GEMM is **not** row-wise bit-identical to single-row matmul under
-BLAS blocking — ``(U @ V.T)[i]`` can differ from ``(U[i:i+1] @ V.T)[0]``
-in the last ulp, so the index offers no batched scoring entry point; the
-serving engine batches masking and ranking, not scoring.
+``RetrievalIndex.score_users(ids)`` is :func:`repro.manifolds.score_rows`
+on the spec the model exported, so it is the live model's
+``score_users`` on the same ids.  A batch is one GEMM, and a batched
+row can differ from the ``(1, d)`` row ``recommend()`` scores in the
+last ulp (BLAS blocking).  The contract is therefore on rankings: the
+engine's top-K for a user equals ``recommend()``'s under the tie rule
+(descending score, ties by ascending item id), with one named
+exception — items whose scores lie within a few ulps of each other
+(near-ties) may swap places.  ``tests/test_ranking_contract.py``
+checks it for every score kind (DESIGN.md §8).
 
 The index also carries everything request handling needs beyond scores:
 the train-interaction CSR structure (per-user seen-item masks) and a
@@ -104,13 +106,9 @@ class RetrievalIndex:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def score_user(self, user_id: int) -> np.ndarray:
-        """Exact score row — bit-identical to the live model's.
-
-        Always evaluates the formula on a ``(1, d)`` slice, matching the
-        shapes ``Recommender.recommend`` feeds ``score_users``.
-        """
-        return score_rows(self._spec, [int(user_id)])[0]
+    def score_users(self, user_ids) -> np.ndarray:
+        """Score matrix of ``user_ids`` against every item, in one call."""
+        return score_rows(self._spec, user_ids)
 
     # ------------------------------------------------------------------
     # Masks and fallback

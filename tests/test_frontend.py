@@ -20,7 +20,8 @@ request counts small; timing margins are generous for 1-CPU CI boxes.
 """
 
 import multiprocessing
-import queue
+import pickle
+import select
 import threading
 import time
 import urllib.request
@@ -36,6 +37,7 @@ from repro.serve.bench import estimate_capacity, run_open_loop
 from repro.serve.frontend import (FrontendConfig, ServingFrontend,
                                   attach_shard, create_shards,
                                   shard_boundaries)
+from repro.serve.frontend.config import MAX_BATCH
 from repro.serve.frontend.worker import (BYE, HEARTBEAT, RESULT,
                                          SHUTDOWN, worker_main)
 from repro.serve.index import RetrievalIndex
@@ -73,6 +75,34 @@ def index() -> RetrievalIndex:
     return toy_index()
 
 
+def _run_worker_inline(index, messages, after_sentinel=None):
+    """Run ``worker_main`` in this process on one shard of ``index``.
+
+    ``messages`` are written to its request pipe ahead of the shutdown
+    sentinel (and the message ``after_sentinel`` behind it); returns
+    every reply it sent, the request pipe's read end, and each reply's
+    size in bytes as read from the pipe.
+    """
+    requests, to_worker = multiprocessing.Pipe(duplex=False)
+    from_worker, replies = multiprocessing.Pipe(duplex=False)
+    arena = create_shards(index, 1)
+    try:
+        for message in messages:
+            to_worker.send(message)
+        to_worker.send(SHUTDOWN)
+        if after_sentinel is not None:
+            to_worker.send(after_sentinel)
+        worker_main(0, 1, arena.layout, 0, _config(n_workers=1),
+                    requests, replies)
+    finally:
+        arena.close()
+    received = []
+    while from_worker.poll():
+        received.append(from_worker.recv_bytes())
+    return [pickle.loads(buf) for buf in received], requests, \
+        [len(buf) for buf in received]
+
+
 def _config(**overrides) -> FrontendConfig:
     base = dict(n_workers=2, service=ServiceConfig(k=10, cache_size=0),
                 start_timeout_s=60.0)
@@ -103,8 +133,8 @@ class TestSharding:
                     for uid in range(spec.lo, spec.hi):
                         local = uid - spec.lo
                         assert np.array_equal(
-                            shard.index.score_user(local),
-                            index.score_user(uid))
+                            shard.index.score_users([local]),
+                            index.score_users([uid]))
                         assert np.array_equal(
                             shard.index.seen_items(local),
                             index.seen_items(uid))
@@ -127,8 +157,8 @@ class TestSharding:
             for spec in populated:
                 shard = attach_shard(layout, spec.shard_id)
                 try:
-                    assert np.array_equal(shard.index.score_user(0),
-                                          tiny.score_user(spec.lo))
+                    assert np.array_equal(shard.index.score_users([0]),
+                                          tiny.score_users([spec.lo]))
                 finally:
                     shard.close()
             # ... and empty shards attach without blowing up.
@@ -214,15 +244,15 @@ class TestFrontend:
         users = list(range(index.n_users // 2))   # shard 0's range
         expected = reference.query_batch(users)
         calls = multiprocessing.get_context("fork").Value("i", 0)
-        query_batch = RecommendService.query_batch
+        rank_batch = RecommendService.rank_batch
 
-        def counting_query_batch(self, *args, **kwargs):
+        def counting_rank_batch(self, *args, **kwargs):
             with calls.get_lock():
                 calls.value += 1
-            return query_batch(self, *args, **kwargs)
+            return rank_batch(self, *args, **kwargs)
 
-        monkeypatch.setattr(RecommendService, "query_batch",
-                            counting_query_batch)
+        monkeypatch.setattr(RecommendService, "rank_batch",
+                            counting_rank_batch)
         # The stall holds worker 0 on its first request while the rest
         # queue up behind it; the supervisor must not kill it for that.
         plan = FaultPlan([FaultSpec("worker_stall", after_requests=1,
@@ -249,30 +279,47 @@ class TestFrontend:
 
     def test_worker_replies_once_then_stops_on_a_drained_sentinel(
             self, index):
-        # worker_main in-process over plain queues: both requests queued
-        # ahead of the sentinel are answered in one RESULT, then the
-        # worker exits without reading past the sentinel.
+        # worker_main in-process over its two pipes: both requests
+        # queued ahead of the sentinel are answered in one RESULT, then
+        # the worker exits without reading past the sentinel.
         reference = RecommendService(index,
                                      ServiceConfig(k=10, cache_size=0))
-        arena = create_shards(index, 1)
-        try:
-            requests, responses = queue.Queue(), queue.Queue()
-            for req_id, uid in enumerate((3, 4)):
-                requests.put([(req_id, uid, 10, None, time.monotonic())])
-            requests.put(SHUTDOWN)
-            requests.put([(2, 5, 10, None, time.monotonic())])
-            worker_main(0, 1, arena.layout, 0, _config(n_workers=1),
-                        requests, responses)
-        finally:
-            arena.close()
-        messages = [responses.get_nowait()
-                    for _ in range(responses.qsize())]
+        messages, requests, _ = _run_worker_inline(
+            index, [[(req_id, uid, 10, None, time.monotonic())]
+                    for req_id, uid in enumerate((3, 4))],
+            after_sentinel=[(2, 5, 10, None, time.monotonic())])
         assert [m[0] for m in messages] == [HEARTBEAT, RESULT, BYE]
-        entries = messages[1][4]
-        assert [(req_id, result["items"]) for req_id, result in entries] \
+        _, _, req_ids, items, codes = messages[1]
+        items = np.frombuffer(items, dtype=np.int32).reshape(len(codes), -1)
+        assert [(req_id, row.tolist()) for req_id, row in zip(
+            np.frombuffer(req_ids, dtype=np.int64).tolist(), items)] \
             == [(0, reference.query(3)["items"]),
                 (1, reference.query(4)["items"])]
-        assert requests.qsize() == 1   # the message after the sentinel
+        assert requests.poll()   # the message after the sentinel ...
+        assert requests.recv()[0][0] == 2   # ... is still unread
+
+    def test_result_bytes_are_pinned(self, index):
+        # A RESULT is raw arrays: 8 B of request id, 4 B per item and
+        # 1 B of code per request, plus a fixed envelope.  The pickled
+        # dicts it replaced cost 390 B for one request and 1,280 B for
+        # 16 on serve-uniform's index.
+        sizes = {}
+        for n in (1, 16):
+            messages, _, nbytes = _run_worker_inline(
+                index, [[(1000 + i, i % 25, 10, None, time.monotonic())
+                         for i in range(n)]])
+            assert [m[0] for m in messages] == [HEARTBEAT, RESULT, BYE]
+            sizes[n] = nbytes[1]
+        assert sizes == {1: 91, 16: 829}
+        assert sizes[1] < 390 and sizes[16] < 1280
+
+    def test_a_full_request_message_fits_pipe_buf(self):
+        # The dispatcher's non-blocking write is all-or-nothing only up
+        # to PIPE_BUF: a MAX_BATCH message with the widest fields must
+        # fit.
+        widest = [(2**63 - 1, 2**31 - 1, 2**31 - 1, 1e12, 1e12)
+                  for _ in range(MAX_BATCH)]
+        assert len(pickle.dumps(widest)) + 4 <= select.PIPE_BUF
 
     def test_fleet_health_aggregates_breakers(self, index):
         with ServingFrontend(index, _config()) as frontend:
@@ -388,6 +435,52 @@ class TestSupervision:
             assert frontend.counters["draining_rejects"] == 1
 
 
+    def test_a_stalled_worker_never_blocks_the_other_shard(self, index):
+        # Worker 0 wedges on its first request; the flood behind it
+        # fills its request pipe (64 KiB) until the dispatcher parks
+        # messages in the outbox.  Shard 1 must keep answering from the
+        # index meanwhile, well inside stall_after_s.
+        plan = FaultPlan([FaultSpec("worker_stall", after_requests=1,
+                                    delay_s=30.0, worker=0)])
+        config = _config(stall_after_s=3.0, max_queue_depth=1 << 16)
+        with ServingFrontend(index, config, faults=plan) as frontend:
+            flood = [frontend.submit(0, 10, deadline_ms=None)]
+            time.sleep(0.1)   # worker 0 holds the blocker and stalls
+            channel = frontend.supervisor.handles[0].channel
+            while not channel.outbox and len(flood) < 40_000:
+                flood += [frontend.submit(i % 25, 10, deadline_ms=None)
+                          for i in range(500)]
+                time.sleep(0.01)
+            assert channel.outbox, "request pipe never filled"
+            t0 = time.monotonic()
+            for uid in range(25, 50):
+                result = frontend.query(uid, 10, deadline_ms=None)
+                assert result["status"] == "ok"
+                assert result["result"]["source"] == "index"
+            assert time.monotonic() - t0 < 1.0
+            for future in flood:   # failed over once worker 0 is killed
+                assert future.result(timeout=30.0)["status"] == "ok"
+            assert frontend.supervisor.total_restarts >= 1
+
+    def test_kill_under_two_shard_load(self, index):
+        plan = FaultPlan([FaultSpec("worker_kill", after_requests=20,
+                                    worker=0)])
+        with ServingFrontend(index, _config(), faults=plan) as frontend:
+            futures = []
+            for i in range(200):
+                uid = (i // 2) % 25 + 25 * (i % 2)   # shards alternate
+                futures.append((uid, frontend.submit(uid, 10,
+                                                     deadline_ms=None)))
+                time.sleep(0.002)
+            for uid, future in futures:
+                resolution = future.result(timeout=30.0)
+                assert resolution["status"] == "ok"    # no hard failure
+                if uid >= 25:    # the surviving shard
+                    assert resolution["result"]["source"] == "index"
+            assert frontend.supervisor.total_restarts == 1
+            assert frontend.counters["degraded_fallbacks"] > 0
+
+
 # ----------------------------------------------------------------------
 # Telemetry: queue-wait + latency histograms (single-writer parent)
 # ----------------------------------------------------------------------
@@ -407,6 +500,21 @@ def test_histograms_include_queue_wait(index, tmp_path):
     assert (hdr["serve/queue_wait_ms"]["p50"]
             <= hdr["serve/latency_ms"]["p99"])
     assert manifest["metrics"]["counters"]["serve/requests"] == 20
+
+
+def test_reply_bytes_count_the_result_messages(index, tmp_path):
+    # One request per RESULT (each query waits for its answer), so the
+    # counter is exactly 20 one-request RESULTs of the pinned size.
+    run = obs.start_run(run_dir=tmp_path)
+    try:
+        with ServingFrontend(index, _config()) as frontend:
+            for uid in range(20):
+                frontend.query(uid, 10)
+    finally:
+        obs.finish_run()
+    counters = obs.read_manifest(run.dir)["metrics"]["counters"]
+    assert counters["frontend/reply_bytes"] == 20 * 91
+    assert counters["serve/requests"] == 20
 
 
 # ----------------------------------------------------------------------

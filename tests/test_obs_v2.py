@@ -282,7 +282,7 @@ def serving():
 
 
 class _FailingIndex:
-    """Proxy whose score_user always raises (breaker-drill workload)."""
+    """Proxy whose score_users always raises (breaker-drill workload)."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -290,7 +290,7 @@ class _FailingIndex:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def score_user(self, uid):
+    def score_users(self, uids):
         raise RuntimeError("scorer down")
 
 

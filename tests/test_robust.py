@@ -11,22 +11,28 @@ The two acceptance bars of the robustness subsystem:
   breaker trips, and fallbacks land in counters instead of exceptions.
 """
 
+import copy
 import json
 import shutil
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.data import SyntheticConfig, generate_dataset, temporal_split
 from repro.experiments.runner import ALL_MODEL_NAMES, build_model
 from repro.robust import (BreakerPolicy, CircuitBreaker, FaultPlan,
-                          FaultSpec, FaultyIndex, ResilienceConfig,
+                          FaultSpec, FaultyIndex, InjectedScoringError,
+                          ResilienceConfig,
                           RetryPolicy, SimulatedCrash,
                           TrainingDivergedError, TrainingSupervisor,
                           has_fit_state)
 from repro.serve import (CheckpointError, RecommendService,
                          ServiceConfig, build_index, load_checkpoint)
+
+from tests.strategies.settings import STANDARD_SETTINGS
 
 EPOCHS = 3
 
@@ -354,6 +360,72 @@ class TestServingResilience:
         assert response["fallback"] and not response["degraded"]
         assert response["items"] == [int(i) for i in
                                      index.popularity[:5]]
+
+
+class _FailingUsers:
+    """Index proxy whose scoring of a fixed set of users always fails.
+
+    The failure depends on the user, not on call order, so a batched
+    engine and a one-request-at-a-time engine see the same faults.
+    """
+
+    def __init__(self, index, bad):
+        self._index = index
+        self._bad = set(bad)
+
+    def __getattr__(self, name):
+        return getattr(self._index, name)
+
+    def score_users(self, user_ids):
+        rows = [row for row, uid in enumerate(user_ids)
+                if int(uid) in self._bad]
+        if rows:
+            raise InjectedScoringError("user down", rows=rows)
+        return self._index.score_users(user_ids)
+
+
+class TestBatchedGuards:
+    @STANDARD_SETTINGS
+    @given(window=st.integers(1, 12), min_requests=st.integers(1, 12),
+           threshold=st.floats(0.05, 1.0), outcomes=st.lists(
+               st.booleans(), max_size=30), limit=st.integers(0, 70))
+    def test_headroom_is_failures_absorbed_before_opening(
+            self, window, min_requests, threshold, outcomes, limit):
+        policy = BreakerPolicy(window=window, min_requests=min_requests,
+                               threshold=threshold, cooldown=3)
+        breaker = CircuitBreaker(policy)
+        for ok in outcomes:
+            breaker.allow()
+            breaker.record(ok)
+        probe = copy.deepcopy(breaker)
+        absorbed = 0
+        while (absorbed < limit and probe.state == "closed"
+               and not probe.record(False)):
+            absorbed += 1
+        expected = absorbed if breaker.state == "closed" else 0
+        assert breaker.headroom(limit) == expected
+
+    @STANDARD_SETTINGS
+    @given(bad=st.sets(st.integers(0, 39), max_size=40),
+           users=st.lists(st.integers(0, 45), min_size=1, max_size=64),
+           retries=st.integers(0, 2), window=st.integers(2, 20),
+           min_requests=st.integers(1, 10),
+           threshold=st.floats(0.1, 1.0), cooldown=st.integers(1, 6))
+    def test_a_batch_answers_like_one_request_at_a_time(
+            self, served, bad, users, retries, window, min_requests,
+            threshold, cooldown):
+        _, _, index, _ = served
+        config = ServiceConfig(
+            k=10, cache_size=0, retry=RetryPolicy(retries=retries),
+            breaker=BreakerPolicy(window=window, threshold=threshold,
+                                  min_requests=min_requests,
+                                  cooldown=cooldown))
+        batched = RecommendService(_FailingUsers(index, bad), config)
+        alone = RecommendService(_FailingUsers(index, bad), config)
+        assert batched.query_batch(users) == [alone.query(u)
+                                              for u in users]
+        assert batched.stats == alone.stats
+        assert batched.breaker.snapshot() == alone.breaker.snapshot()
 
 
 class TestConfigShims:
